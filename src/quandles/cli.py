@@ -2,7 +2,8 @@
 
 Exit codes follow a strict contract: 0 for an affirmative result (equal,
 member, inner, all checks pass), 1 for a negative result, 2 for input errors
-(bad syntax, unknown generators, malformed JSON, wrong arities).
+(bad syntax, unknown generators, malformed JSON, wrong arities, suite bounds
+that would check nothing), 3 for an internal error, which is never a verdict.
 """
 
 from __future__ import annotations
@@ -145,22 +146,9 @@ def cmd_inner_check(args) -> int:
     return 0
 
 
-_SUITE_OPTION_NAMES = {
-    "axioms": ("samples", "max_size", "n"),
-    "oracle": ("max_size", "max_steps", "n"),
-    "theorem2": ("max_size", "n"),
-    "theorem5": ("max_size", "n"),
-    "iso-f_n": ("max_len", "n"),
-    "iso-zxf_n": ("max_z", "max_len", "n"),
-    "lemmas": ("samples", "word_len"),
-    "global": ("max_size",),
-    "naturality": ("samples",),
-    "inner": ("max_len", "max_z", "n"),
-}
-
-
 def cmd_verify(args) -> int:
-    if args.suite not in suites.SUITE_NAMES:
+    suite = suites.SUITES.get(args.suite)
+    if suite is None:
         raise CliError(f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITE_NAMES)}")
     provided = {
         "samples": args.samples,
@@ -171,12 +159,11 @@ def cmd_verify(args) -> int:
         "word_len": args.word_len,
         "n": args.n,
     }
-    allowed = _SUITE_OPTION_NAMES[args.suite]
     bounds = {}
     for key, value in provided.items():
         if value is None:
             continue
-        if key not in allowed:
+        if key not in suite.bounds:
             raise CliError(f"option --{key.replace('_', '-')} does not apply to suite {args.suite!r}")
         bounds[key] = value
     report = suites.run_suite(args.suite, theory=args.theory, seed=args.seed, **bounds)
@@ -268,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArityMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

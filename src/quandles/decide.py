@@ -1,33 +1,26 @@
 """Decision procedures for provable equality of closed terms.
 
-Equality in the free quandle holds exactly when the translated group words
-agree; equality in the free rack additionally requires equal head letters.
-Both deciders are total over any alphabet, including the auxiliary constants.
+Both deciders compare the keys of ``translate.normal_form``: equality in the
+free rack holds exactly when the rack normal forms agree, equality in the
+free quandle exactly when their quandle quotients do.  Both deciders are
+total over any alphabet, including the auxiliary constants.
 """
 
 from __future__ import annotations
 
-from . import translate, words
 from .terms import Term
+from .translate import QUANDLE, RACK, THEORIES, normal_form
 
-QUANDLE = "quandle"
-RACK = "rack"
-THEORIES = (QUANDLE, RACK)
+__all__ = ["QUANDLE", "RACK", "THEORIES", "quandle_equal", "rack_equal", "term_equal"]
 
 
 def quandle_equal(s: Term, t: Term) -> bool:
-    return translate.quandle_image(s) == translate.quandle_image(t)
+    return normal_form(s, QUANDLE) == normal_form(t, QUANDLE)
 
 
 def rack_equal(s: Term, t: Term) -> bool:
-    a = translate.rack_image(s)
-    b = translate.rack_image(t)
-    return a.head == b.head and a.tail == b.tail
+    return normal_form(s, RACK) == normal_form(t, RACK)
 
 
 def term_equal(s: Term, t: Term, theory: str) -> bool:
-    if theory == QUANDLE:
-        return quandle_equal(s, t)
-    if theory == RACK:
-        return rack_equal(s, t)
-    raise ValueError(f"unknown theory {theory!r}")
+    return normal_form(s, theory) == normal_form(t, theory)

@@ -10,10 +10,17 @@ substitution into ``x`` and commute with both operations form a group (unit
   with all self-application signs ``d`` equal; ``RackElem`` stores the signed
   self-application count ``z`` and the reduced generator suffix.
 
+Both canonical forms are read off one split of the rack normal form: head
+``x`` and tail ``x^z * w`` with ``w`` generator-only.  The rack element keeps
+``z``; the quandle element drops it, since the quandle normal form is the
+rack one modulo leading powers of the head.
+
 Canonical elements act on any target model by substituting terms for the
 generators and the argument for ``x`` (``apply_inner``).  An endomorphism
 given by generator images is *inner* when a single canonical element induces
-it; the witness searches here decide that and return the element.
+it.  The witnesses are closed-form: image ``i`` must have head ``y_i`` and a
+tail ``y_i^k_i * w`` with one shared word ``w``, which the first two tails
+already pin down; no search is involved.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 from . import decide, translate, words
 from .decide import QUANDLE, RACK
-from .terms import X, Atom, Node, Term, gen, gen_index, is_gen, subst, subst_many
+from .terms import X, Atom, Node, Term, atoms_of, gen, gen_index, is_gen, subst, subst_many
 from .words import EMPTY, GroupWord
 
 
@@ -78,21 +85,27 @@ def commutes_generically(t: Term, theory: str, n: int | None = None) -> bool:
     return True
 
 
+def _canonical_split(t: Term) -> tuple[int, GroupWord] | None:
+    """``(z, w)`` when ``rack_image(t)`` is ``(x, x^z * w)`` with ``w``
+    generator-only (``z`` maximal), else None."""
+    head, tail = translate.rack_image(t)
+    if head != X:
+        return None
+    z, rest = words.split_leading_run(tail, X)
+    if not all(is_gen(l) for l, _ in rest):
+        return None
+    return z, rest
+
+
 def quandle_canon(t: Term) -> QuandleElem | None:
     """Canonical form of ``[t]`` if it is an invertible generic class.
 
-    The reduced image must be a conjugate ``u^-1 x u`` with ``u`` a reduced
-    generator-only word; the element's word is ``u``.
+    The quandle image must be a conjugate ``u^-1 x u`` with ``u`` a reduced
+    generator-only word; the element's word is ``u``, the word of the rack
+    split with its ``x``-power dropped.
     """
-    image = translate.quandle_image(t)
-    positions = [i for i, (l, _) in enumerate(image) if not is_gen(l)]
-    if len(positions) != 1 or image[positions[0]] != (X, 1):
-        return None
-    k = positions[0]
-    u = image[k + 1:]
-    if image[:k] != words.inv(u):
-        return None
-    return QuandleElem(u)
+    split = _canonical_split(t)
+    return None if split is None else QuandleElem(split[1])
 
 
 def rack_canon(t: Term) -> RackElem | None:
@@ -101,13 +114,8 @@ def rack_canon(t: Term) -> RackElem | None:
     The head must be ``x`` and the reduced tail must split as ``x^z * w``
     with ``w`` generator-only.
     """
-    head, tail = translate.rack_image(t)
-    if head != X:
-        return None
-    z, rest = words.split_leading_run(tail, X)
-    if not all(is_gen(l) for l, _ in rest):
-        return None
-    return RackElem(z, rest)
+    split = _canonical_split(t)
+    return None if split is None else RackElem(*split)
 
 
 def canon(t: Term, theory: str) -> Elem | None:
@@ -178,8 +186,6 @@ def apply_hom(t: Term, images: list[Term]) -> Term:
 
 
 def _gen_atoms(t: Term) -> set[str]:
-    from .terms import atoms_of
-
     return {a for a in atoms_of(t) if is_gen(a)}
 
 
@@ -209,106 +215,79 @@ def apply_inner(a: Elem, images: list[Term], q: Term) -> Term:
 # Inner-endomorphism witnesses
 # ---------------------------------------------------------------------------
 
-def _conjugator_of(r: GroupWord, target: str) -> GroupWord | None:
-    """If the reduced word r equals c^-1 * target * c, return c, else None.
+def _inner_split(images: list[Term], n: int) -> tuple[list[int], GroupWord] | None:
+    """Powers ``k_i`` and one word ``w`` with ``rack_image(images[i-1])`` equal
+    to ``(y_i, y_i^k_i * w)`` for every i, or None if there are none.
 
-    The decomposition of a reduced conjugate of a single positive letter is
-    unique, with the distinguished letter exactly in the middle.
-    """
-    if len(r) % 2 == 0:
-        return None
-    k = len(r) // 2
-    if r[k] != (target, 1):
-        return None
-    c = r[k + 1:]
-    if r[:k] != words.inv(c):
-        return None
-    return c
-
-
-def _is_power_of(w: GroupWord, target: str) -> bool:
-    return all(l == target for l, _ in w)
-
-
-def quandle_inner_witness(images: list[Term], n: int) -> QuandleElem | None:
-    """Element inducing the endomorphism y_i -> images[i-1], if it is inner.
-
-    Each image must translate to a conjugate ``c_i^-1 y_i c_i``; a common
-    conjugating word is then searched in the coset intersection of the
-    cyclic-subgroup cosets <y_i> c_i (a bounded scan of y_1-powers of c_1
-    suffices because coset representatives only shrink).  The witness is
-    verified by re-applying it to every generator.
+    For n >= 2 the word is unique: ``tail_1 * tail_2^-1`` reduces to
+    ``y1^k1 * y2^-k2``, which fixes ``k1`` and so ``w = y1^-k1 * tail_1``.
+    For n = 1 the tail's maximal leading ``y1``-power is split off.
     """
     if len(images) != n:
         raise ArityMismatchError(f"expected {n} images, got {len(images)}")
-    if n == 0:
-        return QUANDLE_IDENTITY
-    cosets: list[GroupWord] = []
-    for i, img in enumerate(images, start=1):
-        c = _conjugator_of(translate.quandle_image(img), gen(i))
-        if c is None or not all(is_gen(l) for l, _ in c):
-            return None
-        cosets.append(c)
-    if n == 1:
-        witness = cosets[0]
-    else:
-        witness = None
-        bound = len(cosets[0]) + len(cosets[1]) + 2
-        for k in range(-bound, bound + 1):
-            cand = words.mul(words.run(gen(1), k), cosets[0])
-            if all(
-                _is_power_of(words.mul(cand, words.inv(cosets[j])), gen(j + 1))
-                for j in range(1, n)
-            ):
-                witness = cand
-                break
-        if witness is None:
-            return None
-    elem = QuandleElem(witness)
-    identity_images = [Atom(gen(i)) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        got = apply_inner(elem, identity_images, Atom(gen(i)))
-        if not decide.quandle_equal(got, images[i - 1]):
-            return None
-    return elem
-
-
-def rack_inner_witness(images: list[Term], n: int) -> RackElem | None:
-    """Rack analogue of ``quandle_inner_witness``.
-
-    Image i must have head y_i and tail ``y_i^z * w`` for a shared pair
-    (z, w).  For n >= 2 the pair is pinned by the reduced quotient of the
-    first two tails; for n = 1 the maximal-leading-power split is returned
-    (any split of the single tail induces the same endomorphism).
-    """
-    if len(images) != n:
-        raise ArityMismatchError(f"expected {n} images, got {len(images)}")
-    if n == 0:
-        return RACK_IDENTITY
     tails: list[GroupWord] = []
     for i, img in enumerate(images, start=1):
         head, tail = translate.rack_image(img)
         if head != gen(i) or not all(is_gen(l) for l, _ in tail):
             return None
         tails.append(tail)
+    if n == 0:
+        return [], EMPTY
     if n == 1:
-        z, witness = words.split_leading_run(tails[0], gen(1))
-    else:
-        diff = words.mul(tails[0], words.inv(tails[1]))
-        z, back = words.split_leading_run(diff, gen(1))
-        if back != words.run(gen(2), -z):
+        k, w = words.split_leading_run(tails[0], gen(1))
+        return [k], w
+    k1, _ = words.split_leading_run(words.mul(tails[0], words.inv(tails[1])), gen(1))
+    w = words.mul(words.run(gen(1), -k1), tails[0])
+    powers: list[int] = []
+    for i, tail in enumerate(tails, start=1):
+        k, rest = words.split_leading_run(words.mul(tail, words.inv(w)), gen(i))
+        if rest:
             return None
-        witness = words.mul(words.run(gen(1), -z), tails[0])
-        for j in range(1, n):
-            if tails[j] != words.mul(words.run(gen(j + 1), z), witness):
-                return None
-    elem = RackElem(z, witness)
-    identity_images = [Atom(gen(i)) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        got = apply_inner(elem, identity_images, Atom(gen(i)))
-        if not decide.rack_equal(got, images[i - 1]):
-            return None
-    return elem
+        powers.append(k)
+    return powers, w
+
+
+def _induces(elem: Elem, images: list[Term], theory: str) -> bool:
+    """Whether ``elem`` sends each generator y_i to images[i-1], by the decider."""
+    identity_images = [Atom(gen(i)) for i in range(1, len(images) + 1)]
+    return all(
+        decide.term_equal(apply_inner(elem, identity_images, Atom(gen(i))), image, theory)
+        for i, image in enumerate(images, start=1)
+    )
+
+
+def quandle_inner_witness(images: list[Term], n: int) -> QuandleElem | None:
+    """Element inducing the endomorphism y_i -> images[i-1], if it is inner.
+
+    In the quandle image i is the conjugate ``w^-1 y_i w`` of a candidate
+    ``w`` exactly when its tail is ``y_i^k_i * w`` for some ``k_i``, since
+    the centraliser of ``y_i`` is <y_i>.  The witness is the word ``w`` of
+    ``_inner_split``, verified by re-applying it to every generator.
+    """
+    split = _inner_split(images, n)
+    if split is None:
+        return None
+    elem = QuandleElem(split[1])
+    return elem if _induces(elem, images, QUANDLE) else None
+
+
+def rack_inner_witness(images: list[Term], n: int) -> RackElem | None:
+    """Rack analogue of ``quandle_inner_witness``.
+
+    Image i must have head y_i and tail ``y_i^z * w`` for a shared pair
+    (z, w): the split of ``_inner_split`` with all powers equal.  For n = 1
+    the maximal-leading-power split is returned (any split of the single
+    tail induces the same endomorphism).
+    """
+    split = _inner_split(images, n)
+    if split is None:
+        return None
+    powers, w = split
+    z = powers[0] if powers else 0
+    if any(k != z for k in powers):
+        return None
+    elem = RackElem(z, w)
+    return elem if _induces(elem, images, RACK) else None
 
 
 # ---------------------------------------------------------------------------

@@ -204,13 +204,9 @@ def cross_validate(
             if not decide.term_equal(t, u, theory):
                 report.violations.append((render(t), render(u)))
 
-    by_class: dict[object, list[Term]] = {}
+    by_class: dict[tuple, list[Term]] = {}
     for t in universe:
-        if theory == QUANDLE:
-            key: object = translate.quandle_image(t)
-        else:
-            key = translate.rack_image(t)
-        by_class.setdefault(key, []).append(t)
+        by_class.setdefault(translate.normal_form(t, theory), []).append(t)
     for group in by_class.values():
         for i in range(len(group)):
             for j in range(i + 1, len(group)):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import decide, isotropy, rewrite, translate, words
 from .decide import QUANDLE, RACK
@@ -187,9 +188,17 @@ def _random_chain(rng: random.Random, letters: tuple[str, ...], max_links: int, 
 # Suites
 # ---------------------------------------------------------------------------
 
-def suite_axioms(seed: int = 0, samples: int = 1000, max_size: int = 6, n: int = 3) -> SuiteReport:
+def _require_positive(**bounds: int) -> None:
+    """Reject bounds under which a sampling suite would check nothing."""
+    for name, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def suite_axioms(seed: int, samples: int, max_size: int, n: int) -> SuiteReport:
     """Every axiom instance is decided equal by its own theory's decider;
     idempotence instances are decided not-equal by the rack decider."""
+    _require_positive(samples=samples, n=n)
     report = SuiteReport("axioms")
     rng = random.Random(seed)
     alphabet = standard_alphabet(n, include_x=False)
@@ -233,7 +242,7 @@ def suite_axioms(seed: int = 0, samples: int = 1000, max_size: int = 6, n: int =
     return report
 
 
-def suite_oracle(max_size: int = 5, max_steps: int = 3, n: int = 2) -> SuiteReport:
+def suite_oracle(max_size: int, max_steps: int, n: int) -> SuiteReport:
     """Bounded rewriting never connects terms the deciders distinguish."""
     report = SuiteReport("oracle")
     alphabet = standard_alphabet(n, include_x=False)
@@ -248,10 +257,15 @@ def suite_oracle(max_size: int = 5, max_steps: int = 3, n: int = 2) -> SuiteRepo
     return report
 
 
-def suite_theorem2(max_size: int = 7, n: int = 2) -> SuiteReport:
+def suite_theorem(theory: str, max_size: int, n: int) -> SuiteReport:
     """Canonical-shape membership coincides with the definitional test, and
-    canonical inverses really are two-sided inverses."""
-    report = SuiteReport("theorem2")
+    canonical inverses really are two-sided inverses (``theorem2`` for
+    quandles, ``theorem5`` for racks)."""
+    report = SuiteReport("theorem2" if theory == QUANDLE else "theorem5")
+    member_by_definition = (
+        quandle_member_by_definition if theory == QUANDLE else rack_member_by_definition
+    )
+    invert = isotropy.quandle_invert if theory == QUANDLE else isotropy.rack_invert
     alphabet = standard_alphabet(n, include_x=True)
     mismatches: list[str] = []
     bad_inverses: list[str] = []
@@ -259,17 +273,17 @@ def suite_theorem2(max_size: int = 7, n: int = 2) -> SuiteReport:
     total = 0
     for t in enumerate_terms(alphabet, max_size):
         total += 1
-        elem = isotropy.quandle_canon(t)
-        by_def = quandle_member_by_definition(t)
+        elem = isotropy.canon(t, theory)
+        by_def = member_by_definition(t)
         if (elem is not None) != by_def:
             mismatches.append(render(t))
             continue
         if elem is not None:
             members += 1
-            t_inv = isotropy.elem_to_term(isotropy.quandle_invert(elem))
+            t_inv = isotropy.elem_to_term(invert(elem))
             if not (
-                decide.quandle_equal(subst(t, t_inv, X), Atom(X))
-                and decide.quandle_equal(subst(t_inv, t, X), Atom(X))
+                decide.term_equal(subst(t, t_inv, X), Atom(X), theory)
+                and decide.term_equal(subst(t_inv, t, X), Atom(X), theory)
             ):
                 bad_inverses.append(render(t))
     report.add(
@@ -286,44 +300,7 @@ def suite_theorem2(max_size: int = 7, n: int = 2) -> SuiteReport:
     return report
 
 
-def suite_theorem5(max_size: int = 7, n: int = 1) -> SuiteReport:
-    """Rack analogue of ``suite_theorem2``."""
-    report = SuiteReport("theorem5")
-    alphabet = standard_alphabet(n, include_x=True)
-    mismatches: list[str] = []
-    bad_inverses: list[str] = []
-    members = 0
-    total = 0
-    for t in enumerate_terms(alphabet, max_size):
-        total += 1
-        elem = isotropy.rack_canon(t)
-        by_def = rack_member_by_definition(t)
-        if (elem is not None) != by_def:
-            mismatches.append(render(t))
-            continue
-        if elem is not None:
-            members += 1
-            t_inv = isotropy.elem_to_term(isotropy.rack_invert(elem))
-            if not (
-                decide.rack_equal(subst(t, t_inv, X), Atom(X))
-                and decide.rack_equal(subst(t_inv, t, X), Atom(X))
-            ):
-                bad_inverses.append(render(t))
-    report.add(
-        "membership equivalence",
-        not mismatches,
-        f"{total} terms, {members} members, {len(mismatches)} discrepancies"
-        + (f": {mismatches[:5]}" if mismatches else ""),
-    )
-    report.add(
-        "canonical inverses are two-sided",
-        not bad_inverses,
-        f"{members} members checked" + (f", failures: {bad_inverses[:5]}" if bad_inverses else ""),
-    )
-    return report
-
-
-def suite_iso_fn(max_len: int = 3, n: int = 2) -> SuiteReport:
+def suite_iso_fn(max_len: int, n: int) -> SuiteReport:
     """The embedding of free-group words into quandle elements is a group
     isomorphism, and canonical multiplication matches term substitution."""
     report = SuiteReport("iso-f_n")
@@ -361,7 +338,7 @@ def suite_iso_fn(max_len: int = 3, n: int = 2) -> SuiteReport:
     return report
 
 
-def suite_iso_zxfn(max_z: int = 2, max_len: int = 2, n: int = 2) -> SuiteReport:
+def suite_iso_zxfn(max_z: int, max_len: int, n: int) -> SuiteReport:
     """The pairing of an integer with a free-group word anti-embeds into rack
     elements, and the closed product formula matches term substitution."""
     report = SuiteReport("iso-zxf_n")
@@ -400,7 +377,7 @@ def suite_iso_zxfn(max_z: int = 2, max_len: int = 2, n: int = 2) -> SuiteReport:
     return report
 
 
-def suite_global(theory: str = QUANDLE, max_size: int = 7) -> SuiteReport:
+def suite_global(theory: str, max_size: int) -> SuiteReport:
     """With no generators, the invertible generic classes collapse: only the
     identity for quandles; exactly the self-application powers for racks,
     multiplying like integers."""
@@ -432,8 +409,9 @@ def suite_global(theory: str = QUANDLE, max_size: int = 7) -> SuiteReport:
     return report
 
 
-def suite_lemmas(seed: int = 0, samples: int = 500, word_len: int = 5) -> SuiteReport:
+def suite_lemmas(seed: int, samples: int, word_len: int) -> SuiteReport:
     """Substitution laws and reduced-word structure facts, by brute force."""
+    _require_positive(samples=samples)
     report = SuiteReport("lemmas")
     rng = random.Random(seed)
 
@@ -571,9 +549,10 @@ def suite_lemmas(seed: int = 0, samples: int = 500, word_len: int = 5) -> SuiteR
     return report
 
 
-def suite_naturality(seed: int = 0, samples: int = 100) -> SuiteReport:
+def suite_naturality(seed: int, samples: int) -> SuiteReport:
     """Applying an element commutes with composing homomorphisms: pushing the
     result through a second hom equals acting via the composed images."""
+    _require_positive(samples=samples)
     report = SuiteReport("naturality")
     rng = random.Random(seed)
     gens2 = standard_alphabet(2, include_x=False)
@@ -598,7 +577,7 @@ def suite_naturality(seed: int = 0, samples: int = 100) -> SuiteReport:
     return report
 
 
-def suite_inner(max_len: int = 3, max_z: int = 2, n: int = 2) -> SuiteReport:
+def suite_inner(max_len: int, max_z: int, n: int) -> SuiteReport:
     """Round trip: each canonical element induces an endomorphism whose
     witness is recovered; a generator swap is recognized as not inner."""
     report = SuiteReport("inner")
@@ -641,44 +620,41 @@ def suite_inner(max_len: int = 3, max_z: int = 2, n: int = 2) -> SuiteReport:
 # Registry
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = (
-    "axioms",
-    "oracle",
-    "theorem2",
-    "theorem5",
-    "iso-f_n",
-    "iso-zxf_n",
-    "lemmas",
-    "global",
-    "naturality",
-    "inner",
-)
+class Suite(NamedTuple):
+    """A named sweep: its function, its bounds with their defaults, and which
+    of ``run_suite``'s own arguments (``seed``, ``theory``) it takes."""
+
+    run: Callable[..., SuiteReport]
+    bounds: dict[str, int]
+    takes: tuple[str, ...] = ()
+
+
+SUITES: dict[str, Suite] = {
+    "axioms": Suite(suite_axioms, {"samples": 1000, "max_size": 6, "n": 3}, ("seed",)),
+    "oracle": Suite(suite_oracle, {"max_size": 5, "max_steps": 3, "n": 2}),
+    "theorem2": Suite(partial(suite_theorem, QUANDLE), {"max_size": 7, "n": 2}),
+    "theorem5": Suite(partial(suite_theorem, RACK), {"max_size": 7, "n": 1}),
+    "iso-f_n": Suite(suite_iso_fn, {"max_len": 3, "n": 2}),
+    "iso-zxf_n": Suite(suite_iso_zxfn, {"max_z": 2, "max_len": 2, "n": 2}),
+    "lemmas": Suite(suite_lemmas, {"samples": 500, "word_len": 5}, ("seed",)),
+    "global": Suite(suite_global, {"max_size": 7}, ("theory",)),
+    "naturality": Suite(suite_naturality, {"samples": 100}, ("seed",)),
+    "inner": Suite(suite_inner, {"max_len": 3, "max_z": 2, "n": 2}),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, theory: str = QUANDLE, seed: int = 0, **bounds) -> SuiteReport:
-    """Run a named suite, timing it.  Unknown bounds raise TypeError."""
-    start = time.perf_counter()
-    if name == "axioms":
-        report = suite_axioms(seed=seed, **bounds)
-    elif name == "oracle":
-        report = suite_oracle(**bounds)
-    elif name == "theorem2":
-        report = suite_theorem2(**bounds)
-    elif name == "theorem5":
-        report = suite_theorem5(**bounds)
-    elif name == "iso-f_n":
-        report = suite_iso_fn(**bounds)
-    elif name == "iso-zxf_n":
-        report = suite_iso_zxfn(**bounds)
-    elif name == "lemmas":
-        report = suite_lemmas(seed=seed, **bounds)
-    elif name == "global":
-        report = suite_global(theory=theory, **bounds)
-    elif name == "naturality":
-        report = suite_naturality(seed=seed, **bounds)
-    elif name == "inner":
-        report = suite_inner(**bounds)
-    else:
+    """Run a named suite, timing it; ``bounds`` override the suite's defaults.
+
+    Unknown bounds raise TypeError; bounds under which a suite would check
+    nothing (``samples`` < 1, no generators to sample from) raise ValueError.
+    """
+    suite = SUITES.get(name)
+    if suite is None:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    given = {"seed": seed, "theory": theory}
+    start = time.perf_counter()
+    report = suite.run(**{key: given[key] for key in suite.takes}, **{**suite.bounds, **bounds})
     report.elapsed = time.perf_counter() - start
     return report

@@ -4,6 +4,9 @@ A word is a tuple of ``(letter, exponent)`` pairs with exponent +1 or -1;
 runs are not compressed.  The empty tuple is the identity.  A word is reduced
 when no adjacent pair is mutually inverse; every word has a unique reduced
 form, so equality in the free group is structural equality after ``reduce``.
+
+Signed letters built here (``letter``, ``inv``) are shared objects, one per
+signed letter of the alphabet, so a word costs one pointer per letter.
 """
 
 from __future__ import annotations
@@ -18,10 +21,29 @@ GroupWord = tuple[SignedLetter, ...]
 EMPTY: GroupWord = ()
 
 
+class _InverseTable(dict):
+    """Signed letter -> its inverse, filled on first use.
+
+    Each signed letter is stored once, as a shared tuple, so the table grows
+    with the alphabet and inverting a word allocates no letters.  Two threads
+    filling the same entry at once store equal tuples, so lookups stay right.
+    """
+
+    def __missing__(self, signed: SignedLetter) -> SignedLetter:
+        name, exponent = signed
+        if exponent not in (1, -1):
+            raise ValueError(f"exponent must be +1 or -1, got {exponent}")
+        pos, neg = (name, 1), (name, -1)
+        self[pos], self[neg] = neg, pos
+        return self[signed]
+
+
+_INVERSE = _InverseTable()
+
+
 def letter(name: str, exponent: int = 1) -> GroupWord:
-    if exponent not in (1, -1):
-        raise ValueError(f"exponent must be +1 or -1, got {exponent}")
-    return ((name, exponent),)
+    # the inverse of the inverse is the table's shared tuple
+    return (_INVERSE[_INVERSE[name, exponent]],)
 
 
 def run(name: str, k: int) -> GroupWord:
@@ -56,8 +78,26 @@ def mul(*parts: Iterable[SignedLetter]) -> GroupWord:
     return reduce(flat)
 
 
+def mul_reduced(*parts: GroupWord) -> GroupWord:
+    """Reduced concatenation of words that are each reduced already.
+
+    Precondition: every part is reduced.  Then letters can cancel only where
+    two parts meet, so each seam is scanned only as far as it cancels and the
+    rest is copied unchanged.  ``mul`` accepts any words.
+    """
+    out: list[SignedLetter] = []
+    for part in parts:
+        k = 0
+        while k < len(part) and out and out[-1] == _INVERSE[part[k]]:
+            out.pop()
+            k += 1
+        out.extend(part[k:] if k else part)
+    return tuple(out)
+
+
 def inv(word: GroupWord) -> GroupWord:
-    return reduce((l, -e) for l, e in reversed(word))
+    """The inverse word, letter by letter; reduced whenever ``word`` is."""
+    return tuple(map(_INVERSE.__getitem__, reversed(word))) if word else word
 
 
 def subst(word: GroupWord, value: GroupWord, target: str) -> GroupWord:
@@ -76,21 +116,18 @@ def equal(u: Iterable[SignedLetter], v: Iterable[SignedLetter]) -> bool:
     return reduce(u) == reduce(v)
 
 
-def exponent_sum(word: GroupWord, target: str) -> int:
-    return sum(e for l, e in word if l == target)
-
-
 def split_leading_run(word: GroupWord, target: str) -> tuple[int, GroupWord]:
     """Split off the maximal leading ``target``-power: word = target^z * rest.
 
-    In a reduced word the leading run has a single sign, so the signed count
-    ``z`` determines it.
+    ``word`` must be reduced: then the leading run has a single sign, so its
+    length and that sign give ``z``.
     """
     i = 0
     while i < len(word) and word[i][0] == target:
         i += 1
-    z = sum(e for _, e in word[:i])
-    return z, word[i:]
+    if not i:
+        return 0, word
+    return word[0][1] * i, word[i:]
 
 
 def enumerate_reduced(letters: Iterable[str], max_len: int) -> Iterator[GroupWord]:

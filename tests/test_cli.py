@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 from quandles import isotropy
 from quandles.cli import main
@@ -148,3 +151,31 @@ def test_no_aux_flag(capsys):
     assert code == 0
     code, _, err = run(capsys, "--gens", "0", "--no-aux", "eq", "x0", "x0")
     assert code == 2
+
+
+def test_verify_rejects_zero_samples(capsys):
+    code, out, err = run(capsys, "verify", "axioms", "--samples", "0")
+    assert code == 2
+    assert not out
+    assert "samples" in err
+
+
+def test_verify_rejects_zero_generators(capsys):
+    code, out, err = run(capsys, "verify", "axioms", "--n", "0")
+    assert code == 2
+    assert not out
+    assert "n must be >= 1" in err
+
+
+def test_internal_error_exits_3_without_traceback():
+    deep = "x" + " |> y1" * 3000
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandles", "--gens", "1", "eq", deep, deep],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert proc.stderr.startswith("internal error: ")
+    assert "Traceback" not in proc.stderr

@@ -202,6 +202,27 @@ def test_witness_round_trip_small():
         assert isotropy.rack_inner_witness(images, 2) == relem
 
 
+def test_witness_rejects_inconsistent_third_image():
+    gens = [Atom("y1"), Atom("y2"), Atom("y3")]
+    elem = QuandleElem((Y2, Y1I))
+    images = [isotropy.apply_inner(elem, gens, g) for g in gens[:2]] + [q("y3 |> y1", 3)]
+    assert isotropy.quandle_inner_witness(images, 3) is None
+    relem = RackElem(1, (Y2, Y1I))
+    images = [isotropy.apply_inner(relem, gens, g) for g in gens[:2]] + [q("y3 |> y3 |> y1", 3)]
+    assert isotropy.rack_inner_witness(images, 3) is None
+
+
+def test_witness_with_long_leading_y1_run():
+    gens = [Atom("y1"), Atom("y2")]
+    word = (Y1,) * 5 + (Y2,)
+    elem = QuandleElem(word)
+    images = [isotropy.apply_inner(elem, gens, g) for g in gens]
+    assert isotropy.quandle_inner_witness(images, 2) == elem
+    relem = RackElem(-2, word)
+    images = [isotropy.apply_inner(relem, gens, g) for g in gens]
+    assert isotropy.rack_inner_witness(images, 2) == relem
+
+
 def test_witness_arity_check():
     with pytest.raises(ArityMismatchError):
         isotropy.quandle_inner_witness([q("y1")], 2)

@@ -21,6 +21,18 @@ def q(text, n=2):
     return parse(text, n)
 
 
+def paper_quandle_image(t):
+    """Reference: the paper's direct translation, s |> t -> T^-1 S T and
+    s |>~ t -> T S T^-1, reducing every product in full."""
+    if isinstance(t, Atom):
+        return words.letter(t.letter)
+    s = paper_quandle_image(t.left)
+    w = paper_quandle_image(t.right)
+    if t.sign == 1:
+        return words.mul(words.inv(w), s, w)
+    return words.mul(w, s, words.inv(w))
+
+
 def test_quandle_image_examples():
     assert translate.quandle_image(Atom(X)) == ((X, 1),)
     assert translate.quandle_image(q("x |> y1")) == (("y1", -1), (X, 1), ("y1", 1))
@@ -32,6 +44,13 @@ def test_rack_image_examples():
     assert translate.rack_image(q("x |> y1")) == RackNF(X, (("y1", 1),))
     assert translate.rack_image(q("x |> x")) == RackNF(X, ((X, 1),))
     assert translate.rack_image(q("y1 |>~ x")) == RackNF("y1", ((X, -1),))
+
+
+def test_quandle_image_matches_paper_translation_exhaustive():
+    universe = list(enumerate_terms((X, gen(1), gen(2)), 7))
+    assert len(universe) == 3477
+    for t in universe:
+        assert translate.quandle_image(t) == paper_quandle_image(t)
 
 
 def test_rack_image_distinguishes_self_application():

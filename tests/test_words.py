@@ -87,6 +87,11 @@ def test_group_laws_exhaustive():
         assert words.mul(u, words.inv(u)) == ()
 
 
+@given(st.lists(_signed(letters=("x", "y1", "y2")).map(words.reduce), max_size=5))
+def test_mul_reduced_matches_mul_on_reduced_parts(parts):
+    assert words.mul_reduced(*parts) == words.mul(*parts)
+
+
 @given(_signed())
 def test_inverse_cancels(w):
     assert words.mul(w, words.inv(w)) == ()
