@@ -188,17 +188,17 @@ def _random_chain(rng: random.Random, letters: tuple[str, ...], max_links: int, 
 # Suites
 # ---------------------------------------------------------------------------
 
-def _require_positive(**bounds: int) -> None:
-    """Reject bounds under which a sampling suite would check nothing."""
+def _require_at_least(low: int, **bounds: int) -> None:
+    """Reject bounds under which a suite would check nothing."""
     for name, value in bounds.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def suite_axioms(seed: int, samples: int, max_size: int, n: int) -> SuiteReport:
     """Every axiom instance is decided equal by its own theory's decider;
     idempotence instances are decided not-equal by the rack decider."""
-    _require_positive(samples=samples, n=n)
+    _require_at_least(1, samples=samples, n=n)
     report = SuiteReport("axioms")
     rng = random.Random(seed)
     alphabet = standard_alphabet(n, include_x=False)
@@ -303,6 +303,7 @@ def suite_theorem(theory: str, max_size: int, n: int) -> SuiteReport:
 def suite_iso_fn(max_len: int, n: int) -> SuiteReport:
     """The embedding of free-group words into quandle elements is a group
     isomorphism, and canonical multiplication matches term substitution."""
+    _require_at_least(0, max_len=max_len)
     report = SuiteReport("iso-f_n")
     gens = standard_alphabet(n, include_x=False)
     word_list = list(words.enumerate_reduced(gens, max_len))
@@ -341,6 +342,7 @@ def suite_iso_fn(max_len: int, n: int) -> SuiteReport:
 def suite_iso_zxfn(max_z: int, max_len: int, n: int) -> SuiteReport:
     """The pairing of an integer with a free-group word anti-embeds into rack
     elements, and the closed product formula matches term substitution."""
+    _require_at_least(0, max_z=max_z, max_len=max_len)
     report = SuiteReport("iso-zxf_n")
     gens = standard_alphabet(n, include_x=False)
     word_list = list(words.enumerate_reduced(gens, max_len))
@@ -411,7 +413,8 @@ def suite_global(theory: str, max_size: int) -> SuiteReport:
 
 def suite_lemmas(seed: int, samples: int, word_len: int) -> SuiteReport:
     """Substitution laws and reduced-word structure facts, by brute force."""
-    _require_positive(samples=samples)
+    _require_at_least(1, samples=samples)
+    _require_at_least(0, word_len=word_len)
     report = SuiteReport("lemmas")
     rng = random.Random(seed)
 
@@ -552,7 +555,7 @@ def suite_lemmas(seed: int, samples: int, word_len: int) -> SuiteReport:
 def suite_naturality(seed: int, samples: int) -> SuiteReport:
     """Applying an element commutes with composing homomorphisms: pushing the
     result through a second hom equals acting via the composed images."""
-    _require_positive(samples=samples)
+    _require_at_least(1, samples=samples)
     report = SuiteReport("naturality")
     rng = random.Random(seed)
     gens2 = standard_alphabet(2, include_x=False)
@@ -580,6 +583,7 @@ def suite_naturality(seed: int, samples: int) -> SuiteReport:
 def suite_inner(max_len: int, max_z: int, n: int) -> SuiteReport:
     """Round trip: each canonical element induces an endomorphism whose
     witness is recovered; a generator swap is recognized as not inner."""
+    _require_at_least(0, max_len=max_len, max_z=max_z)
     report = SuiteReport("inner")
     gens = standard_alphabet(n, include_x=False)
     identity_images = [Atom(g) for g in gens]
@@ -648,7 +652,8 @@ def run_suite(name: str, theory: str = QUANDLE, seed: int = 0, **bounds) -> Suit
     """Run a named suite, timing it; ``bounds`` override the suite's defaults.
 
     Unknown bounds raise TypeError; bounds under which a suite would check
-    nothing (``samples`` < 1, no generators to sample from) raise ValueError.
+    nothing (``samples`` < 1, no generators to sample from, a negative
+    ``max_z``, ``max_len`` or ``word_len``) raise ValueError.
     """
     suite = SUITES.get(name)
     if suite is None:

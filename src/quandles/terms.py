@@ -14,6 +14,7 @@ strings; structural equality of letters is string equality.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -160,50 +161,141 @@ def subst_many(t: Term, mapping: Mapping[str, Term]) -> Term:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
+# what stands between a left operand and an atom, or a parenthesised operand
+_SEP = {sign: f" {symbol} " for sign, symbol in OP_SYMBOLS.items()}
+_OPEN = {sign: f" {symbol} (" for sign, symbol in OP_SYMBOLS.items()}
+
+
 def render(t: Term) -> str:
     """Canonical spelling with minimal parentheses under left associativity.
 
     Left children never need parentheses; composite right children always do.
+    The pieces are produced last to first: each left spine is walked in a
+    loop, and while a composite right child is spelled its operator and left
+    sibling wait on an explicit stack, so terms of any depth render.
     """
-    if isinstance(t, Atom):
-        return t.letter
-    left = render(t.left)
-    right = render(t.right)
-    if isinstance(t.right, Node):
-        right = f"({right})"
-    return f"{left} {OP_SYMBOLS[t.sign]} {right}"
+    backwards: list[str] = []
+    waiting: list[Union[Term, str]] = [t]
+    while waiting:
+        item = waiting.pop()
+        while isinstance(item, Node):
+            right = item.right
+            if isinstance(right, Node):
+                backwards.append(")")
+                waiting.append(item.left)
+                waiting.append(_OPEN[item.sign])
+                item = right
+            else:
+                backwards.append(right.letter)
+                backwards.append(_SEP[item.sign])
+                item = item.left
+        backwards.append(item if isinstance(item, str) else item.letter)
+    backwards.reverse()
+    return "".join(backwards)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    # token kinds: "op" (value "+"/"-"), "atom", "(", ")"
-    tokens: list[tuple[str, str, int]] = []
+# One token per match: an operator, a parenthesis, an atom ("x" or "y" and
+# its decimal digits), or any other non-space character, which is an error.
+# Whitespace is skipped; re's \s and \d are str.isspace and str.isdecimal.
+_TOKEN = re.compile(r"\|>~|\|>|[()]|[xy]\d*|\S")
+_SIGNS = {"|>": 1, "|>~": -1}
+_OP_NAMES = {"|>": "+", "|>~": "-"}  # how error messages name the operators
+
+
+class _Malformed(Exception):
+    """A syntax error located by token index; ``parse`` maps it to a position."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
+
+
+def _build(tokens: list[str], n: int, allow_aux: bool) -> Term:
+    """Shift-reduce the token list into a term.
+
+    ``left`` is the term built so far at the current parenthesis depth and
+    ``sign`` the operator waiting for its right operand; ``(`` saves both on
+    ``stack`` and ``)`` restores them.  Errors come in the order a
+    left-to-right recursive descent would meet them.
+    """
+    atoms: dict[str, Atom] = {}
+    stack: list[tuple[Term | None, int]] = []
+    left: Term | None = None
+    sign = 0
     i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
+    end = len(tokens)
+    while True:
+        # expect a factor: an atom or "("
+        if i == end:
+            raise _Malformed("unexpected end of input", i)
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
+            stack.append((left, sign))
+            left = None
             continue
-        if c == "(":
-            tokens.append(("(", "(", i))
+        factor = atoms.get(tok)
+        if factor is None:
+            if tok[0] not in "xy":
+                raise _Malformed(f"expected an atom or '(', got {_OP_NAMES.get(tok, tok)!r}", i - 1)
+            factor = atoms[tok] = _atom(tok, n, allow_aux, i - 1)
+        # a factor is complete: attach it, then close parentheses until an
+        # operator or the end
+        while True:
+            left = factor if left is None else Node(sign, left, factor)
+            if i == end:
+                if stack:
+                    raise _Malformed("expected ')'", i)
+                return left
+            tok = tokens[i]
             i += 1
-        elif c == ")":
-            tokens.append((")", ")", i))
-            i += 1
-        elif text.startswith("|>~", i):
-            tokens.append(("op", "-", i))
-            i += 3
-        elif text.startswith("|>", i):
-            tokens.append(("op", "+", i))
-            i += 2
-        elif c in ("x", "y"):
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
+            if tok in _SIGNS:
+                sign = _SIGNS[tok]
+                break
+            if not stack:
+                raise _Malformed(f"trailing input {tok!r}", i - 1)
+            if tok != ")":
+                raise _Malformed("expected ')'", i - 1)
+            factor = left
+            left, sign = stack.pop()
+
+
+def _atom(tok: str, n: int, allow_aux: bool, index: int) -> Atom:
+    """Validate one atom token; ``y`` indices are normalised (``y01`` is ``y1``)."""
+    if tok == X:
+        return Atom(X)
+    if tok in (X0, X1):
+        if not allow_aux:
+            raise _Malformed(f"auxiliary atom {tok!r} not allowed", index)
+        return Atom(tok)
+    if tok[0] == "y" and len(tok) > 1:
+        i = int(tok[1:])
+        if not 1 <= i <= n:
+            raise UnknownGeneratorError(i, n)
+        return Atom(gen(i))
+    raise _Malformed(f"bad atom {tok!r}", index)
+
+
+def _located_tokens(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of ``text`` with their offsets, for reporting errors.
+
+    Raises on the first character that starts no token.  A digit that is not
+    decimal (such as a superscript) extends the atom right before it, as any
+    ``str.isdigit`` character does; the atom is then rejected as a factor.
+    """
+    tokens: list[str] = []
+    starts: list[int] = []
+    for match in _TOKEN.finditer(text):
+        tok, at = match.group(), match.start()
+        if tok in _SIGNS or tok in "()" or tok[0] in "xy":
+            tokens.append(tok)
+            starts.append(at)
+        elif tok.isdigit() and tokens and tokens[-1][0] in "xy" and starts[-1] + len(tokens[-1]) == at:
+            tokens[-1] += tok
         else:
-            raise TermSyntaxError(f"unexpected character {c!r}", i)
-    return tokens
+            raise TermSyntaxError(f"unexpected character {tok!r}", at)
+    return tokens, starts
 
 
 def parse(text: str, n: int, allow_aux: bool = True) -> Term:
@@ -212,56 +304,23 @@ def parse(text: str, n: int, allow_aux: bool = True) -> Term:
     The grammar is  term := factor { ("|>" | "|>~") factor },
     factor := atom | "(" term ")",  atom := "x" | "x0" | "x1" | "y" digits,
     with both operators left-associative at equal precedence.
+
+    One regular-expression scan splits the text into tokens and one loop
+    with an explicit stack builds the term, so nesting has no depth limit.
+    Each distinct atom is checked once per call.  A character that starts no
+    token is reported before any other error, wherever it is; the offsets of
+    an error are worked out only once the text is known to be malformed.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def error(message: str) -> TermSyntaxError:
-        at = tokens[pos][2] if pos < len(tokens) else len(text)
-        return TermSyntaxError(message, at)
-
-    def parse_factor() -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise error("unexpected end of input")
-        kind, value, at = tokens[pos]
-        if kind == "atom":
-            pos += 1
-            if value == X or (value[0] == "y" and value[1:].isdigit() and len(value) > 1):
-                pass
-            elif value in (X0, X1):
-                if not allow_aux:
-                    raise TermSyntaxError(f"auxiliary atom {value!r} not allowed", at)
-            else:
-                raise TermSyntaxError(f"bad atom {value!r}", at)
-            if is_gen(value):
-                i = gen_index(value)
-                if not 1 <= i <= n:
-                    raise UnknownGeneratorError(i, n)
-                value = gen(i)  # normalizes e.g. y01 -> y1
-            return Atom(value)
-        if kind == "(":
-            pos += 1
-            inner = parse_term()
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                raise error("expected ')'")
-            pos += 1
-            return inner
-        raise error(f"expected an atom or '(', got {value!r}")
-
-    def parse_term() -> Term:
-        nonlocal pos
-        t = parse_factor()
-        while pos < len(tokens) and tokens[pos][0] == "op":
-            sign = 1 if tokens[pos][1] == "+" else -1
-            pos += 1
-            t = Node(sign, t, parse_factor())
-        return t
-
-    result = parse_term()
-    if pos < len(tokens):
-        raise error(f"trailing input {tokens[pos][1]!r}")
-    return result
+    try:
+        return _build(_TOKEN.findall(text), n, allow_aux)
+    except (_Malformed, ValueError):
+        pass
+    tokens, starts = _located_tokens(text)
+    try:
+        return _build(tokens, n, allow_aux)
+    except _Malformed as exc:
+        at = starts[exc.index] if exc.index < len(starts) else len(text)
+        raise TermSyntaxError(exc.message, at) from None
 
 
 # ---------------------------------------------------------------------------

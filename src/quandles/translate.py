@@ -5,7 +5,10 @@ theories.  ``rack_image`` sends a term to a pair ``(head, tail)`` of a letter
 and a reduced word: atoms go to ``(atom, e)``; ``s |>^eps t`` goes to
 ``(head(S), tail(S) * tail(T)^-1 * head(T)^eps * tail(T))``.  The head is
 always the leftmost atom of the term.  Two terms are equal in the free rack
-exactly when both components agree.
+exactly when both components agree.  The translation is computed without
+recursion: it walks each left spine down to its head atom and folds the
+spine's right children into the tail bottom-up, keeping the spines that
+wait for a composite right child on an explicit stack.
 
 The free-quandle normal form is a quotient of the rack one.  A term stands
 for the conjugate ``tail^-1 head tail``, and since the centraliser of a letter
@@ -22,8 +25,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import words
-from .terms import Atom, Term
-from .words import GroupWord
+from .terms import Node, Term
+from .words import GroupWord, SignedLetter
 
 QUANDLE = "quandle"
 RACK = "rack"
@@ -42,13 +45,52 @@ def rack_image(t: Term) -> RackNF:
 
 
 def _rack_pair(t: Term) -> tuple[str, GroupWord]:
-    # plain pairs inside the recursion: a RackNF per node costs more than the
-    # word arithmetic on the short words most terms have
-    if isinstance(t, Atom):
-        return t.letter, words.EMPTY
-    head, s = _rack_pair(t.left)
-    h2, w = _rack_pair(t.right)
-    return head, words.mul_reduced(s, words.inv(w), words.letter(h2, t.sign), w)
+    """``rack_image`` as a plain pair, folded along left spines.
+
+    A term is a left spine ``((a |>^e1 r1) |>^e2 r2) ... |>^ek rk``: its head
+    is the atom ``a`` and its tail the reduced product of the conjugates
+    ``w_j^-1 h_j^e_j w_j`` with ``(h_j, w_j)`` the image of ``r_j``.  The tail
+    is built bottom-up in a list, cancelling at its end.  An atom ``r_j``
+    adds the single letter ``r_j^e_j``; a composite ``r_j`` suspends the fold
+    on an explicit stack until its own image is done.
+    """
+    inverse = words.INVERSE
+    suspended: list[tuple[str, list[SignedLetter], list[Node], int]] = []
+    while True:
+        spine: list[Node] = []
+        while isinstance(t, Node):
+            spine.append(t)
+            t = t.left
+        head, tail, k = t.letter, [], len(spine)
+        while True:
+            if k:
+                k -= 1
+                node = spine[k]
+                t = node.right
+                if isinstance(t, Node):
+                    suspended.append((head, tail, spine, k))
+                    break
+                h, w = t.letter, words.EMPTY
+            elif suspended:
+                h, w = head, tail
+                head, tail, spine, k = suspended.pop()
+                node = spine[k]
+                # * w^-1: the end of tail may cancel against the end of w
+                j = len(w)
+                while j and tail and tail[-1] == w[j - 1]:
+                    tail.pop()
+                    j -= 1
+                tail.extend(map(inverse.__getitem__, reversed(w[:j] if j < len(w) else w)))
+            else:
+                return head, tuple(tail)
+            # * h^e * w
+            signed = inverse[inverse[h, node.sign]]
+            if tail and tail[-1] == inverse[signed]:
+                tail.pop()
+            else:
+                tail.append(signed)
+            if w:
+                words.extend_reduced(tail, w)
 
 
 def normal_form(t: Term, theory: str) -> tuple[str, GroupWord]:

@@ -11,7 +11,7 @@ signed letter of the alphabet, so a word costs one pointer per letter.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .terms import X, check_letter, is_gen, letter_key
 
@@ -38,12 +38,12 @@ class _InverseTable(dict):
         return self[signed]
 
 
-_INVERSE = _InverseTable()
+INVERSE = _InverseTable()
 
 
 def letter(name: str, exponent: int = 1) -> GroupWord:
     # the inverse of the inverse is the table's shared tuple
-    return (_INVERSE[_INVERSE[name, exponent]],)
+    return (INVERSE[INVERSE[name, exponent]],)
 
 
 def run(name: str, k: int) -> GroupWord:
@@ -87,17 +87,25 @@ def mul_reduced(*parts: GroupWord) -> GroupWord:
     """
     out: list[SignedLetter] = []
     for part in parts:
-        k = 0
-        while k < len(part) and out and out[-1] == _INVERSE[part[k]]:
-            out.pop()
-            k += 1
-        out.extend(part[k:] if k else part)
+        extend_reduced(out, part)
     return tuple(out)
+
+
+def extend_reduced(out: list[SignedLetter], part: Sequence[SignedLetter]) -> None:
+    """Append ``part`` to ``out`` in place, cancelling across the seam.
+
+    Precondition: both are reduced; then ``out`` stays reduced.
+    """
+    k = 0
+    while k < len(part) and out and out[-1] == INVERSE[part[k]]:
+        out.pop()
+        k += 1
+    out.extend(part[k:] if k else part)
 
 
 def inv(word: GroupWord) -> GroupWord:
     """The inverse word, letter by letter; reduced whenever ``word`` is."""
-    return tuple(map(_INVERSE.__getitem__, reversed(word))) if word else word
+    return tuple(map(INVERSE.__getitem__, reversed(word))) if word else word
 
 
 def subst(word: GroupWord, value: GroupWord, target: str) -> GroupWord:

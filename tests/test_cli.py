@@ -1,10 +1,9 @@
 import io
 import json
-import os
-import subprocess
-import sys
 
-from quandles import isotropy
+import pytest
+
+from quandles import decide, isotropy
 from quandles.cli import main
 
 
@@ -167,15 +166,51 @@ def test_verify_rejects_zero_generators(capsys):
     assert "n must be >= 1" in err
 
 
-def test_internal_error_exits_3_without_traceback():
-    deep = "x" + " |> y1" * 3000
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quandles", "--gens", "1", "eq", deep, deep],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 3
-    assert not proc.stdout
-    assert proc.stderr.startswith("internal error: ")
-    assert "Traceback" not in proc.stderr
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("decider failed")
+
+    monkeypatch.setattr(decide, "term_equal", broken)
+    code, out, err = run(capsys, "--gens", "1", "eq", "y1", "y1")
+    assert code == 3
+    assert not out
+    assert err.startswith("internal error: ")
+    assert "Traceback" not in err
+
+
+DEEP_CHAIN = "x" + " |> y1" * 3000
+DEEP_PARENS = "(" * 3000 + "x |> y1" + ")" * 3000
+DEEP_NESTED = "y1 |> (" * 2999 + "y1 |> y1" + ")" * 2999
+
+
+@pytest.mark.parametrize("theory", ["quandle", "rack"])
+def test_deep_terms_answer(capsys, theory):
+    code, out, _ = run(capsys, "--theory", theory, "--gens", "1", "eq", DEEP_CHAIN, DEEP_CHAIN)
+    assert (code, out.strip()) == (0, "equal")
+    for command in ("nf", "canon"):
+        code, out, err = run(capsys, "--theory", theory, "--gens", "1", command, DEEP_CHAIN)
+        assert code in (0, 1)
+        assert out and not err
+    code, out, _ = run(capsys, "--theory", theory, "--gens", "1", "eq", DEEP_PARENS, "x |> y1")
+    assert (code, out.strip()) == (0, "equal")
+    code, out, _ = run(capsys, "--theory", theory, "--gens", "1", "eq", DEEP_NESTED, "y1")
+    expected = (0, "equal") if theory == "quandle" else (1, "not-equal")
+    assert (code, out.strip()) == expected
+
+
+@pytest.mark.parametrize(
+    "suite, option",
+    [
+        ("iso-f_n", "--max-len"),
+        ("iso-zxf_n", "--max-z"),
+        ("iso-zxf_n", "--max-len"),
+        ("lemmas", "--word-len"),
+        ("inner", "--max-len"),
+        ("inner", "--max-z"),
+    ],
+)
+def test_verify_rejects_negative_bound(capsys, suite, option):
+    code, out, err = run(capsys, "verify", suite, option, "-1")
+    assert code == 2
+    assert not out
+    assert f"{option[2:].replace('-', '_')} must be >= 0" in err

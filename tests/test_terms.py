@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quandles import terms
-from quandles.terms import Atom, Node, TermSyntaxError, UnknownGeneratorError
+from quandles.terms import X, X0, X1, Atom, Node, TermSyntaxError, UnknownGeneratorError, gen, gen_index, is_gen
 
 
 def _terms_strategy(letters=("x", "y1", "y2")):
@@ -16,7 +16,185 @@ def _terms_strategy(letters=("x", "y1", "y2")):
     )
 
 
+def _tokenize_reference(text):
+    # token kinds: "op" (value "+"/"-"), "atom", "(", ")"
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "(":
+            tokens.append(("(", "(", i))
+            i += 1
+        elif c == ")":
+            tokens.append((")", ")", i))
+            i += 1
+        elif text.startswith("|>~", i):
+            tokens.append(("op", "-", i))
+            i += 3
+        elif text.startswith("|>", i):
+            tokens.append(("op", "+", i))
+            i += 2
+        elif c in ("x", "y"):
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("atom", text[i:j], i))
+            i = j
+        else:
+            raise TermSyntaxError(f"unexpected character {c!r}", i)
+    return tokens
+
+
+def parse_reference(text, n, allow_aux=True):
+    """Reference: a character-by-character tokenizer and a recursive-descent
+    parser, independent of the regex scan and shift-reduce loop of ``parse``."""
+    tokens = _tokenize_reference(text)
+    pos = 0
+
+    def error(message):
+        at = tokens[pos][2] if pos < len(tokens) else len(text)
+        return TermSyntaxError(message, at)
+
+    def parse_factor():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise error("unexpected end of input")
+        kind, value, at = tokens[pos]
+        if kind == "atom":
+            pos += 1
+            if value == X or (value[0] == "y" and value[1:].isdigit() and len(value) > 1):
+                pass
+            elif value in (X0, X1):
+                if not allow_aux:
+                    raise TermSyntaxError(f"auxiliary atom {value!r} not allowed", at)
+            else:
+                raise TermSyntaxError(f"bad atom {value!r}", at)
+            if is_gen(value):
+                i = gen_index(value)
+                if not 1 <= i <= n:
+                    raise UnknownGeneratorError(i, n)
+                value = gen(i)  # normalizes e.g. y01 -> y1
+            return Atom(value)
+        if kind == "(":
+            pos += 1
+            inner = parse_term()
+            if pos >= len(tokens) or tokens[pos][0] != ")":
+                raise error("expected ')'")
+            pos += 1
+            return inner
+        raise error(f"expected an atom or '(', got {value!r}")
+
+    def parse_term():
+        nonlocal pos
+        t = parse_factor()
+        while pos < len(tokens) and tokens[pos][0] == "op":
+            sign = 1 if tokens[pos][1] == "+" else -1
+            pos += 1
+            t = Node(sign, t, parse_factor())
+        return t
+
+    result = parse_term()
+    if pos < len(tokens):
+        raise error(f"trailing input {tokens[pos][1]!r}")
+    return result
+
+
+def _outcome(parser, text, n, allow_aux):
+    try:
+        return parser(text, n, allow_aux)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n", "\u2003"])
+
+
+@st.composite
+def _spelled_terms(draw):
+    """Text of a random term with random whitespace and redundant parentheses."""
+    t = draw(_terms_strategy(letters=("x", "x0", "y1", "y2", "y3")))
+    pieces = []
+    todo = [(t, False)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        u, needs_parens = item
+        extra = draw(st.integers(0, 2))
+        opening = needs_parens + extra
+        if isinstance(u, Atom):
+            letter = u.letter if not is_gen(u.letter) else draw(st.sampled_from(["y", "y0"])) + u.letter[1:]
+            todo.append(")" * opening + draw(_SPACE))
+            todo.append(letter)
+        else:
+            todo.append(")" * opening + draw(_SPACE))
+            todo.append((u.right, isinstance(u.right, Node)))
+            todo.append(draw(_SPACE) + terms.OP_SYMBOLS[u.sign] + draw(_SPACE))
+            todo.append((u.left, False))
+        todo.append(draw(_SPACE) + "(" * opening)
+    return t, "".join(pieces)
+
+
+# arbitrary text over the term characters, and arbitrary token sequences
+_FUZZ_TEXT = st.one_of(
+    st.text(alphabet=list("xy0123456789|>~() ²٣\u2003"), max_size=24),
+    st.lists(
+        st.sampled_from(["x", "y", "y1", "y2", "y4", "y0", "x0", "x1", "x2", "|>", "|>~", "(", ")", " ", "²", "٣"]),
+        max_size=24,
+    ).map("".join),
+)
+
+
 # --- parsing ---------------------------------------------------------------
+
+@given(_spelled_terms())
+def test_parse_matches_reference_on_spelled_terms(case):
+    t, text = case
+    assert terms.parse(text, 3) == parse_reference(text, 3) == t
+
+
+@settings(max_examples=300)
+@given(_FUZZ_TEXT, st.booleans())
+def test_parse_matches_reference_on_arbitrary_text(text, allow_aux):
+    assert _outcome(terms.parse, text, 3, allow_aux) == _outcome(parse_reference, text, 3, allow_aux)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "x |>", "(x |> y1", "x )", "x2", "y", "x |> |> y1", "x y1", "x |>> y1", "x | y1",
+     "x |>~~ y1", "y0", "y4", "x00", "x |> (", "()", "(x) (y1)", "x |> y1)", "((x |> y1)", "( y3 ) ) )",
+     "|> x", "x |>~", "x |> y01", "x0 |> x1", "x1 |> x0 |> z", "y1 \x1c |>\u2003y2",
+     "y²", "x²", "y1²", "x0²", "x y²", "x |> ² y1", "y٣ |> y٠", "y1_2", "xy1", "yx", "x )) z",
+     "y4 |> ) z", "(((x |> y1 )) |> (y2 |> (y4)))", "x |> y9 |> (", "y1 |> y2 y3 )", "y" + "9" * 5000],
+)
+def test_parse_errors_match_reference(text):
+    for allow_aux in (True, False):
+        assert _outcome(terms.parse, text, 3, allow_aux) == _outcome(parse_reference, text, 3, allow_aux)
+
+
+def test_parse_deep_parentheses():
+    text = "(" * 3000 + "x |> (y1)" + ")" * 3000
+    assert terms.render(terms.parse(text, 1)) == "x |> y1"
+    with pytest.raises(TermSyntaxError) as exc:
+        terms.parse(text[:-1], 1)
+    assert exc.value.position == len(text) - 1
+
+
+def test_parse_and_render_deep_chains():
+    left = "x" + " |> y1 |>~ y2" * 1500
+    right = "y1 |> (" * 2998 + "y1 |> y2" + ")" * 2998
+    for text in (left, right):
+        assert terms.render(terms.parse(text, 2)) == text
+    t = Atom("x")
+    for i in range(3000):
+        t = Node(1 if i % 3 else -1, t, Atom("y1"))
+    assert terms.render(terms.parse(terms.render(t), 1)) == terms.render(t)
+
+
 
 def test_parse_left_associative():
     assert terms.parse("x |> y1 |>~ y2", 2) == Node(-1, Node(1, Atom("x"), Atom("y1")), Atom("y2"))

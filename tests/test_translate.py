@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, strategies as st
+
 from quandles import translate, words
 from quandles.terms import (
     X,
@@ -31,6 +33,52 @@ def paper_quandle_image(t):
     if t.sign == 1:
         return words.mul(words.inv(w), s, w)
     return words.mul(w, s, words.inv(w))
+
+
+def recursive_rack_image(t):
+    """Reference: the rack translation by structural recursion, one full
+    product per node: (head(S), tail(S) * tail(T)^-1 * head(T)^eps * tail(T))."""
+    if isinstance(t, Atom):
+        return RackNF(t.letter, ())
+    head, s = recursive_rack_image(t.left)
+    h2, w = recursive_rack_image(t.right)
+    return RackNF(head, words.mul(s, words.inv(w), words.letter(h2, t.sign), w))
+
+
+def _terms(letters=(X, gen(1), gen(2)), max_leaves=31):
+    atoms = st.sampled_from([Atom(l) for l in letters])
+    return st.recursive(
+        atoms,
+        lambda sub: st.builds(Node, st.sampled_from((1, -1)), sub, sub),
+        max_leaves=max_leaves,
+    )
+
+
+def test_rack_image_matches_recursive_translation_exhaustive():
+    universe = list(enumerate_terms((X, gen(1), gen(2)), 7))
+    assert len(universe) == 3477
+    for t in universe:
+        assert translate.rack_image(t) == recursive_rack_image(t)
+
+
+@given(_terms(letters=(X, X0, gen(1), gen(2), gen(3))))
+def test_rack_image_matches_recursive_translation_random(t):
+    assert translate.rack_image(t) == recursive_rack_image(t)
+
+
+def test_rack_image_of_deep_terms():
+    chain = Atom(X)
+    spelled = []
+    for i in range(3000):
+        letter = gen(1 + i % 2)
+        chain = Node(1 if i % 3 else -1, chain, Atom(letter))
+        spelled.append((letter, chain.sign))
+    assert translate.rack_image(chain) == RackNF(X, words.reduce(spelled))
+    nested = Atom(gen(1))
+    for _ in range(3000):
+        nested = Node(1, Atom(gen(1)), nested)
+    assert translate.rack_image(nested) == RackNF(gen(1), words.letter(gen(1)))
+    assert translate.quandle_image(nested) == words.letter(gen(1))
 
 
 def test_quandle_image_examples():
