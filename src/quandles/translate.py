@@ -75,7 +75,7 @@ def _rack_pair(t: Term) -> tuple[str, GroupWord]:
                 h, w = head, tail
                 head, tail, spine, k = suspended.pop()
                 node = spine[k]
-                # * w^-1: the end of tail may cancel against the end of w
+                # tail * w^-1: the end of tail may cancel against the end of w
                 j = len(w)
                 while j and tail and tail[-1] == w[j - 1]:
                     tail.pop()
@@ -83,7 +83,7 @@ def _rack_pair(t: Term) -> tuple[str, GroupWord]:
                 tail.extend(map(inverse.__getitem__, reversed(w[:j] if j < len(w) else w)))
             else:
                 return head, tuple(tail)
-            # * h^e * w
+            # tail * h^e * w, with h^e as the table's shared signed letter
             signed = inverse[inverse[h, node.sign]]
             if tail and tail[-1] == inverse[signed]:
                 tail.pop()
