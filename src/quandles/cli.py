@@ -14,7 +14,6 @@ import sys
 
 from . import decide, isotropy, suites, translate, words
 from .decide import QUANDLE, RACK
-from .isotropy import ArityMismatchError
 from .terms import Term, parse, render
 
 
@@ -35,8 +34,7 @@ def _parse_elem(text: str, args):
         elem = isotropy.elem_from_json(data)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    expected = isotropy.RackElem if args.theory == RACK else isotropy.QuandleElem
-    if not isinstance(elem, expected):
+    if elem.theory != args.theory:
         raise CliError(f"element theory does not match --theory {args.theory}")
     return elem
 
@@ -106,15 +104,13 @@ def cmd_canon(args) -> int:
 def cmd_mul(args) -> int:
     a = _parse_elem(args.elem1, args)
     b = _parse_elem(args.elem2, args)
-    product = isotropy.rack_mul(a, b) if args.theory == RACK else isotropy.quandle_mul(a, b)
-    _emit_elem(product, args)
+    _emit_elem(isotropy.mul(a, b), args)
     return 0
 
 
 def cmd_inv(args) -> int:
     a = _parse_elem(args.elem, args)
-    inverse = isotropy.rack_invert(a) if args.theory == RACK else isotropy.quandle_invert(a)
-    _emit_elem(inverse, args)
+    _emit_elem(isotropy.invert(a), args)
     return 0
 
 
@@ -132,10 +128,7 @@ def cmd_apply(args) -> int:
 
 def cmd_inner_check(args) -> int:
     images = [_parse_term(text, args) for text in args.images]
-    if args.theory == RACK:
-        witness = isotropy.rack_inner_witness(images, args.gens)
-    else:
-        witness = isotropy.quandle_inner_witness(images, args.gens)
+    witness = isotropy.inner_witness(images, args.gens, args.theory)
     if witness is None:
         print(json.dumps({"inner": False}) if args.json else "not-inner")
         return 1
@@ -249,10 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("eq needs two terms (or --stdin)")
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArityMismatchError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

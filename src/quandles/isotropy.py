@@ -4,16 +4,19 @@ Over the alphabet {x, y1..yn}, the terms that are invertible under
 substitution into ``x`` and commute with both operations form a group (unit
 ``x``, product ``a*b = term_a[term_b/x]``).  This module classifies them:
 
-* quandle: exactly the classes of ``x |>^e1 y_i1 ... |>^em y_im`` whose suffix
-  word ``y_i1^e1 ... y_im^em`` is reduced.  ``QuandleElem`` stores that word.
 * rack: exactly the classes of ``x |>^d ... |>^d x |>^e1 y_i1 ... |>^em y_im``
   with all self-application signs ``d`` equal; ``RackElem`` stores the signed
-  self-application count ``z`` and the reduced generator suffix.
+  self-application count ``z`` and the reduced generator suffix
+  ``y_i1^e1 ... y_im^em``.
+* quandle: the same classes with ``z`` forgotten, since ``x |> x = x``.
+  ``QuandleElem`` stores only the word; its ``z`` is always 0.
 
-Both canonical forms are read off one split of the rack normal form: head
-``x`` and tail ``x^z * w`` with ``w`` generator-only.  The rack element keeps
-``z``; the quandle element drops it, since the quandle normal form is the
-rack one modulo leading powers of the head.
+One implementation serves both groups.  Each element class carries its
+``theory``, ``element`` builds an element from ``(theory, z, word)``, and
+canonicalization, products, inverses, witnesses and the JSON and text forms
+are written once against ``theory``, ``z`` and ``word``.  Canonical forms are
+read off one split of the rack normal form: head ``x`` and tail ``x^z * w``
+with ``w`` generator-only.
 
 Canonical elements act on any target model by substituting terms for the
 generators and the argument for ``x`` (``apply_inner``).  An endomorphism
@@ -26,10 +29,12 @@ already pin down; no search is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import decide, translate, words
 from .decide import QUANDLE, RACK
 from .terms import X, Atom, Node, Term, atoms_of, gen, gen_index, is_gen, subst, subst_many
+from .translate import THEORIES, check_theory
 from .words import EMPTY, GroupWord
 
 
@@ -48,6 +53,8 @@ def _check_canonical_word(word: GroupWord) -> None:
 class QuandleElem:
     """Reduced generator-only word, read along the operation chain."""
 
+    theory: ClassVar[str] = QUANDLE
+    z: ClassVar[int] = 0
     word: GroupWord = EMPTY
 
     def __post_init__(self) -> None:
@@ -58,6 +65,7 @@ class QuandleElem:
 class RackElem:
     """Signed self-application count plus a reduced generator-only word."""
 
+    theory: ClassVar[str] = RACK
     z: int = 0
     word: GroupWord = EMPTY
 
@@ -71,66 +79,71 @@ QUANDLE_IDENTITY = QuandleElem()
 RACK_IDENTITY = RackElem()
 
 
+def element(theory: str, z: int, word: GroupWord) -> Elem:
+    """The element of ``theory`` with self-application count ``z`` and the
+    reduced generator word ``word``; quandles forget ``z``."""
+    if theory == RACK:
+        return RackElem(z, word)
+    if theory == QUANDLE:
+        return QuandleElem(word)
+    raise ValueError(f"unknown theory {theory!r}")
+
+
 # ---------------------------------------------------------------------------
 # Membership and canonicalization
 # ---------------------------------------------------------------------------
 
-def commutes_generically(t: Term, theory: str, n: int | None = None) -> bool:
+def commutes_generically(t: Term, theory: str) -> bool:
     """Whether t[x0 |>^e x1 / x] equals t[x0/x] |>^e t[x1/x] for both signs."""
+    t0 = subst(t, Atom("x0"), X)
+    t1 = subst(t, Atom("x1"), X)
     for sign in (1, -1):
         lhs = subst(t, Node(sign, Atom("x0"), Atom("x1")), X)
-        rhs = Node(sign, subst(t, Atom("x0"), X), subst(t, Atom("x1"), X))
-        if not decide.term_equal(lhs, rhs, theory):
+        if not decide.term_equal(lhs, Node(sign, t0, t1), theory):
             return False
     return True
 
 
-def _canonical_split(t: Term) -> tuple[int, GroupWord] | None:
-    """``(z, w)`` when ``rack_image(t)`` is ``(x, x^z * w)`` with ``w``
-    generator-only (``z`` maximal), else None."""
+def canon(t: Term, theory: str) -> Elem | None:
+    """Canonical form of ``[t]`` if it is an invertible generic class, or None.
+
+    The head of ``rack_image(t)`` must be ``x`` and its reduced tail must
+    split as ``x^z * w`` with ``w`` generator-only (``z`` maximal).  The
+    element is ``(z, w)``; the quandle element keeps only ``w``, since the
+    quandle image ``w^-1 x w`` is the rack one modulo powers of the head.
+    """
+    check_theory(theory)
     head, tail = translate.rack_image(t)
     if head != X:
         return None
     z, rest = words.split_leading_run(tail, X)
     if not all(is_gen(l) for l, _ in rest):
         return None
-    return z, rest
+    return element(theory, z, rest)
 
 
 def quandle_canon(t: Term) -> QuandleElem | None:
-    """Canonical form of ``[t]`` if it is an invertible generic class.
-
-    The quandle image must be a conjugate ``u^-1 x u`` with ``u`` a reduced
-    generator-only word; the element's word is ``u``, the word of the rack
-    split with its ``x``-power dropped.
-    """
-    split = _canonical_split(t)
-    return None if split is None else QuandleElem(split[1])
+    return canon(t, QUANDLE)
 
 
 def rack_canon(t: Term) -> RackElem | None:
-    """Canonical form of ``[t]`` in the rack sense, or None.
-
-    The head must be ``x`` and the reduced tail must split as ``x^z * w``
-    with ``w`` generator-only.
-    """
-    split = _canonical_split(t)
-    return None if split is None else RackElem(*split)
-
-
-def canon(t: Term, theory: str) -> Elem | None:
-    return quandle_canon(t) if theory == QUANDLE else rack_canon(t)
+    return canon(t, RACK)
 
 
 def elem_to_term(a: Elem) -> Term:
     """The canonical left-associated term denoted by the element."""
-    t: Term = Atom(X)
-    if isinstance(a, RackElem):
-        sign = 1 if a.z > 0 else -1
-        for _ in range(abs(a.z)):
-            t = Node(sign, t, Atom(X))
+    return _chain(a, Atom(X), {l: Atom(l) for l, _ in a.word})
+
+
+def _chain(a: Elem, q: Term, letter_terms: dict[str, Term]) -> Term:
+    """``q``, then |z| self-applications to ``q``, then one operation per
+    letter ``l^e`` of the word with right operand ``letter_terms[l]``."""
+    t = q
+    sign = 1 if a.z > 0 else -1
+    for _ in range(abs(a.z)):
+        t = Node(sign, t, q)
     for l, e in a.word:
-        t = Node(e, t, Atom(l))
+        t = Node(e, t, letter_terms[l])
     return t
 
 
@@ -138,21 +151,18 @@ def elem_to_term(a: Elem) -> Term:
 # Group structure
 # ---------------------------------------------------------------------------
 
-def quandle_mul(a: QuandleElem, b: QuandleElem) -> QuandleElem:
-    """Product a*b = term_a[term_b/x]: suffix words concatenate reversed."""
-    return QuandleElem(words.mul(b.word, a.word))
+def mul(a: Elem, b: Elem) -> Elem:
+    """Product a*b = term_a[term_b/x]: suffix words concatenate reversed and
+    self-application counts add."""
+    return element(a.theory, a.z + b.z, words.mul(b.word, a.word))
 
 
-def rack_mul(a: RackElem, b: RackElem) -> RackElem:
-    return RackElem(a.z + b.z, words.mul(b.word, a.word))
+def invert(a: Elem) -> Elem:
+    return element(a.theory, -a.z, words.inv(a.word))
 
 
-def quandle_invert(a: QuandleElem) -> QuandleElem:
-    return QuandleElem(words.inv(a.word))
-
-
-def rack_invert(a: RackElem) -> RackElem:
-    return RackElem(-a.z, words.inv(a.word))
+quandle_mul = rack_mul = mul
+quandle_invert = rack_invert = invert
 
 
 def quandle_embed(u: GroupWord) -> QuandleElem:
@@ -197,18 +207,19 @@ def _max_gen_index(t: Term) -> int:
 def apply_inner(a: Elem, images: list[Term], q: Term) -> Term:
     """Evaluate the element at ``q`` in the model where y_i maps to images[i-1].
 
-    Substitutes the generator images into the canonical term first, then the
-    argument ``q`` for ``x``.  Raises ArityMismatchError if the element uses a
-    generator beyond ``len(images)``.
+    This is the canonical term with the generator images substituted, then
+    ``q`` for ``x``, built directly: ``q``, then |z| self-applications to
+    ``q``, then one operation per letter ``y_i^e`` with right operand
+    ``images[i-1][q/x]``, each computed once.  Raises ArityMismatchError if
+    the element uses a generator beyond ``len(images)``.
     """
-    high = max((gen_index(l) for l, _ in a.word), default=0)
+    letters = {l for l, _ in a.word}
+    high = max(map(gen_index, letters), default=0)
     if high > len(images):
         raise ArityMismatchError(
             f"element uses y{high} but only {len(images)} images given"
         )
-    t = elem_to_term(a)
-    t = subst_many(t, {gen(i + 1): img for i, img in enumerate(images)})
-    return subst(t, q, X)
+    return _chain(a, q, {l: subst(images[gen_index(l) - 1], q, X) for l in letters})
 
 
 # ---------------------------------------------------------------------------
@@ -247,47 +258,44 @@ def _inner_split(images: list[Term], n: int) -> tuple[list[int], GroupWord] | No
     return powers, w
 
 
-def _induces(elem: Elem, images: list[Term], theory: str) -> bool:
+def _induces(elem: Elem, images: list[Term]) -> bool:
     """Whether ``elem`` sends each generator y_i to images[i-1], by the decider."""
     identity_images = [Atom(gen(i)) for i in range(1, len(images) + 1)]
     return all(
-        decide.term_equal(apply_inner(elem, identity_images, Atom(gen(i))), image, theory)
+        decide.term_equal(apply_inner(elem, identity_images, Atom(gen(i))), image, elem.theory)
         for i, image in enumerate(images, start=1)
     )
 
 
-def quandle_inner_witness(images: list[Term], n: int) -> QuandleElem | None:
+def inner_witness(images: list[Term], n: int, theory: str) -> Elem | None:
     """Element inducing the endomorphism y_i -> images[i-1], if it is inner.
 
-    In the quandle image i is the conjugate ``w^-1 y_i w`` of a candidate
-    ``w`` exactly when its tail is ``y_i^k_i * w`` for some ``k_i``, since
-    the centraliser of ``y_i`` is <y_i>.  The witness is the word ``w`` of
-    ``_inner_split``, verified by re-applying it to every generator.
+    Image i is the conjugate ``w^-1 y_i w`` of a candidate ``w`` in the
+    quandle exactly when its tail is ``y_i^k_i * w`` for some ``k_i``, since
+    the centraliser of ``y_i`` is <y_i>.  A rack witness ``(z, w)`` also needs
+    every ``k_i`` equal to ``z``; for n = 1 the maximal-leading-power split
+    is returned (any split of the single tail induces the same
+    endomorphism).  The witness from ``_inner_split`` is verified by
+    re-applying it to every generator.
     """
-    split = _inner_split(images, n)
-    if split is None:
-        return None
-    elem = QuandleElem(split[1])
-    return elem if _induces(elem, images, QUANDLE) else None
-
-
-def rack_inner_witness(images: list[Term], n: int) -> RackElem | None:
-    """Rack analogue of ``quandle_inner_witness``.
-
-    Image i must have head y_i and tail ``y_i^z * w`` for a shared pair
-    (z, w): the split of ``_inner_split`` with all powers equal.  For n = 1
-    the maximal-leading-power split is returned (any split of the single
-    tail induces the same endomorphism).
-    """
+    check_theory(theory)
     split = _inner_split(images, n)
     if split is None:
         return None
     powers, w = split
     z = powers[0] if powers else 0
-    if any(k != z for k in powers):
+    if theory == RACK and any(k != z for k in powers):
         return None
-    elem = RackElem(z, w)
-    return elem if _induces(elem, images, RACK) else None
+    elem = element(theory, z, w)
+    return elem if _induces(elem, images) else None
+
+
+def quandle_inner_witness(images: list[Term], n: int) -> QuandleElem | None:
+    return inner_witness(images, n, QUANDLE)
+
+
+def rack_inner_witness(images: list[Term], n: int) -> RackElem | None:
+    return inner_witness(images, n, RACK)
 
 
 # ---------------------------------------------------------------------------
@@ -296,32 +304,25 @@ def rack_inner_witness(images: list[Term], n: int) -> RackElem | None:
 # ---------------------------------------------------------------------------
 
 def elem_to_json(a: Elem) -> dict:
-    if isinstance(a, RackElem):
-        return {"theory": RACK, "z": a.z, "word": words.to_json(a.word)}
-    return {"theory": QUANDLE, "word": words.to_json(a.word)}
+    z = {"z": a.z} if a.theory == RACK else {}
+    return {"theory": a.theory, **z, "word": words.to_json(a.word)}
 
 
 def elem_from_json(data: object) -> Elem:
     if not isinstance(data, dict):
         raise ValueError("element must be a JSON object")
     theory = data.get("theory")
-    if theory == QUANDLE:
-        extra = set(data) - {"theory", "word"}
-        if extra:
-            raise ValueError(f"unexpected keys {sorted(extra)}")
-        return QuandleElem(words.reduce(words.from_json(data.get("word", []), generators_only=True)))
-    if theory == RACK:
-        extra = set(data) - {"theory", "z", "word"}
-        if extra:
-            raise ValueError(f"unexpected keys {sorted(extra)}")
-        z = data.get("z", 0)
-        if not isinstance(z, int) or isinstance(z, bool):
-            raise ValueError(f"z must be an integer, got {z!r}")
-        return RackElem(z, words.reduce(words.from_json(data.get("word", []), generators_only=True)))
-    raise ValueError(f"theory must be 'quandle' or 'rack', got {theory!r}")
+    if theory not in THEORIES:
+        raise ValueError(f"theory must be 'quandle' or 'rack', got {theory!r}")
+    extra = set(data) - ({"theory", "z", "word"} if theory == RACK else {"theory", "word"})
+    if extra:
+        raise ValueError(f"unexpected keys {sorted(extra)}")
+    z = data.get("z", 0)
+    if not isinstance(z, int) or isinstance(z, bool):
+        raise ValueError(f"z must be an integer, got {z!r}")
+    return element(theory, z, words.reduce(words.from_json(data.get("word", []), generators_only=True)))
 
 
 def elem_to_text(a: Elem) -> str:
-    if isinstance(a, RackElem):
-        return f"z: {a.z}, word: {words.render(a.word)}"
-    return f"word: {words.render(a.word)}"
+    z = f"z: {a.z}, " if a.theory == RACK else ""
+    return f"{z}word: {words.render(a.word)}"

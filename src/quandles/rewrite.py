@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import decide, translate
 from .decide import QUANDLE, RACK
 from .terms import Atom, Node, Term, enumerate_terms, render, size
+from .translate import check_theory
 
 DIST_POS = "dist+"      # (a |> b) |> c  =  (a |> c) |> (b |> c)
 DIST_NEG = "dist-"      # same for |>~
@@ -29,11 +30,9 @@ QUANDLE_AXIOMS = RACK_AXIOMS + (IDEM_POS, IDEM_NEG)
 
 
 def axioms(theory: str) -> tuple[str, ...]:
-    if theory == QUANDLE:
-        return QUANDLE_AXIOMS
-    if theory == RACK:
-        return RACK_AXIOMS
-    raise ValueError(f"unknown theory {theory!r}")
+    """The axioms of ``theory``; raises ValueError for an unknown theory."""
+    check_theory(theory)
+    return QUANDLE_AXIOMS if theory == QUANDLE else RACK_AXIOMS
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class RewriteStep:
     path: tuple[int, ...]  # 0 = left child, 1 = right child
 
 
-def _local_rewrites(u: Term, theory: str) -> list[tuple[str, str, Term]]:
+def _local_rewrites(u: Term, idempotent: bool) -> list[tuple[str, str, Term]]:
     out: list[tuple[str, str, Term]] = []
     if isinstance(u, Node):
         s = u.sign
@@ -63,9 +62,9 @@ def _local_rewrites(u: Term, theory: str) -> list[tuple[str, str, Term]]:
         if isinstance(u.left, Node) and u.left.sign == -s and u.left.right == u.right:
             cancel = CANCEL_POS if s == -1 else CANCEL_NEG
             out.append((cancel, "lr", u.left.left))
-        if theory == QUANDLE and u.left == u.right:
+        if idempotent and u.left == u.right:
             out.append((IDEM_POS if s == 1 else IDEM_NEG, "lr", u.left))
-    if theory == QUANDLE:
+    if idempotent:
         out.append((IDEM_POS, "rl", Node(1, u, u)))
         out.append((IDEM_NEG, "rl", Node(-1, u, u)))
     return out
@@ -89,9 +88,10 @@ def _positions(t: Term, path: tuple[int, ...] = ()):
 
 def rewrite_steps(t: Term, theory: str) -> list[tuple[RewriteStep, Term]]:
     """All single axiom applications in ``t`` with the resulting terms."""
+    idempotent = IDEM_POS in axioms(theory)
     out: list[tuple[RewriteStep, Term]] = []
     for path, u in _positions(t):
-        for axiom, direction, new_sub in _local_rewrites(u, theory):
+        for axiom, direction, new_sub in _local_rewrites(u, idempotent):
             out.append((RewriteStep(axiom, direction, path), _replace_at(t, path, new_sub)))
     return out
 
@@ -116,6 +116,7 @@ def rewrite_closure(
     Terms larger than ``max_size`` (default 2*size(t)+4) are pruned; the
     start term is always included.
     """
+    check_theory(theory)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if max_size is None:

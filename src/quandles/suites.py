@@ -33,6 +33,7 @@ from .terms import (
     standard_alphabet,
     subst,
 )
+from .translate import check_theory
 from .words import EMPTY, GroupWord
 
 
@@ -265,7 +266,6 @@ def suite_theorem(theory: str, max_size: int, n: int) -> SuiteReport:
     member_by_definition = (
         quandle_member_by_definition if theory == QUANDLE else rack_member_by_definition
     )
-    invert = isotropy.quandle_invert if theory == QUANDLE else isotropy.rack_invert
     alphabet = standard_alphabet(n, include_x=True)
     mismatches: list[str] = []
     bad_inverses: list[str] = []
@@ -280,7 +280,7 @@ def suite_theorem(theory: str, max_size: int, n: int) -> SuiteReport:
             continue
         if elem is not None:
             members += 1
-            t_inv = isotropy.elem_to_term(invert(elem))
+            t_inv = isotropy.elem_to_term(isotropy.invert(elem))
             if not (
                 decide.term_equal(subst(t, t_inv, X), Atom(X), theory)
                 and decide.term_equal(subst(t_inv, t, X), Atom(X), theory)
@@ -385,29 +385,29 @@ def suite_global(theory: str, max_size: int) -> SuiteReport:
     multiplying like integers."""
     report = SuiteReport("global")
     universe = list(enumerate_terms((X,), max_size))
+    found = {isotropy.canon(t, theory) for t in universe} - {None}
+    max_z = (max_size - 1) // 2
+    expected = {isotropy.element(theory, z, EMPTY) for z in range(-max_z, max_z + 1)}
     if theory == QUANDLE:
-        found = {isotropy.quandle_canon(t) for t in universe} - {None}
+        # the powers of x |> x all collapse to the identity
         report.add(
             "only the identity element occurs",
-            found == {isotropy.QUANDLE_IDENTITY},
+            found == expected,
             f"{len(universe)} terms, elements found: {len(found)}",
         )
-    else:
-        found = {isotropy.rack_canon(t) for t in universe} - {None}
-        max_z = (max_size - 1) // 2
-        expected = {RackElem(z, EMPTY) for z in range(-max_z, max_z + 1)}
-        report.add(
-            f"elements are exactly the powers -{max_z}..{max_z}",
-            found == expected,
-            f"{len(universe)} terms, {len(found)} elements",
-        )
-        add_bad = sum(
-            1
-            for a in expected
-            for b in expected
-            if isotropy.rack_mul(a, b) != RackElem(a.z + b.z, EMPTY)
-        )
-        report.add("product acts as integer addition", add_bad == 0, f"{len(expected) ** 2} pairs")
+        return report
+    report.add(
+        f"elements are exactly the powers -{max_z}..{max_z}",
+        found == expected,
+        f"{len(universe)} terms, {len(found)} elements",
+    )
+    add_bad = sum(
+        1
+        for a in expected
+        for b in expected
+        if isotropy.mul(a, b) != RackElem(a.z + b.z, EMPTY)
+    )
+    report.add("product acts as integer addition", add_bad == 0, f"{len(expected) ** 2} pairs")
     return report
 
 
@@ -564,10 +564,8 @@ def suite_naturality(seed: int, samples: int) -> SuiteReport:
     for theory in (QUANDLE, RACK):
         bad = 0
         for _ in range(samples):
-            if theory == QUANDLE:
-                elem: isotropy.Elem = QuandleElem(random_reduced_word(rng, gens2, 3))
-            else:
-                elem = RackElem(rng.randint(-2, 2), random_reduced_word(rng, gens2, 3))
+            z = rng.randint(-2, 2)  # forgotten by quandle elements
+            elem = isotropy.element(theory, z, random_reduced_word(rng, gens2, 3))
             h_images = [random_term(rng, gens3, 5) for _ in range(2)]
             hp_images = [random_term(rng, gens2, 5) for _ in range(3)]
             q = random_term(rng, gens3, 5)
@@ -589,34 +587,19 @@ def suite_inner(max_len: int, max_z: int, n: int) -> SuiteReport:
     identity_images = [Atom(g) for g in gens]
     word_list = list(words.enumerate_reduced(gens, max_len))
 
-    bad = 0
-    for w in word_list:
-        elem = QuandleElem(w)
-        images = [isotropy.apply_inner(elem, identity_images, Atom(g)) for g in gens]
-        if isotropy.quandle_inner_witness(images, n) != elem:
-            bad += 1
-    report.add("quandle witnesses recovered exactly", bad == 0, f"{len(word_list)} elements, {bad} failures")
-
-    bad = 0
-    count = 0
-    for z in range(-max_z, max_z + 1):
-        for w in word_list:
-            count += 1
-            elem = RackElem(z, w)
+    # quandle elements forget z, so only z = 0 gives distinct ones
+    for theory, zs in ((QUANDLE, [0]), (RACK, range(-max_z, max_z + 1))):
+        elems = [isotropy.element(theory, z, w) for z in zs for w in word_list]
+        bad = 0
+        for elem in elems:
             images = [isotropy.apply_inner(elem, identity_images, Atom(g)) for g in gens]
-            if isotropy.rack_inner_witness(images, n) != elem:
+            if isotropy.inner_witness(images, n, theory) != elem:
                 bad += 1
-    report.add("rack witnesses recovered exactly", bad == 0, f"{count} elements, {bad} failures")
+        report.add(f"{theory} witnesses recovered exactly", bad == 0, f"{len(elems)} elements, {bad} failures")
 
     swap = [Atom(gen(2)), Atom(gen(1))]
-    report.add(
-        "generator swap is not inner (quandle)",
-        isotropy.quandle_inner_witness(swap, 2) is None,
-    )
-    report.add(
-        "generator swap is not inner (rack)",
-        isotropy.rack_inner_witness(swap, 2) is None,
-    )
+    for theory in (QUANDLE, RACK):
+        report.add(f"generator swap is not inner ({theory})", isotropy.inner_witness(swap, 2, theory) is None)
     return report
 
 
@@ -651,13 +634,15 @@ SUITE_NAMES = tuple(SUITES)
 def run_suite(name: str, theory: str = QUANDLE, seed: int = 0, **bounds) -> SuiteReport:
     """Run a named suite, timing it; ``bounds`` override the suite's defaults.
 
-    Unknown bounds raise TypeError; bounds under which a suite would check
-    nothing (``samples`` < 1, no generators to sample from, a negative
-    ``max_z``, ``max_len`` or ``word_len``) raise ValueError.
+    An unknown theory raises ValueError, also for suites that cover both
+    theories.  Unknown bounds raise TypeError; bounds under which a suite
+    would check nothing (``samples`` < 1, no generators to sample from, a
+    negative ``max_z``, ``max_len`` or ``word_len``) raise ValueError.
     """
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    check_theory(theory)
     given = {"seed": seed, "theory": theory}
     start = time.perf_counter()
     report = suite.run(**{key: given[key] for key in suite.takes}, **{**suite.bounds, **bounds})

@@ -86,12 +86,10 @@ def check_letter(letter: str, n: int, allow_aux: bool = True) -> None:
     raise ValueError(f"unknown letter {letter!r}")
 
 
-def standard_alphabet(n: int, include_x: bool = True, include_aux: bool = False) -> tuple[str, ...]:
+def standard_alphabet(n: int, include_x: bool = True) -> tuple[str, ...]:
     letters: list[str] = []
     if include_x:
         letters.append(X)
-    if include_aux:
-        letters.extend([X0, X1])
     letters.extend(gen(i) for i in range(1, n + 1))
     return tuple(letters)
 

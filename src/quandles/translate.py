@@ -33,6 +33,12 @@ RACK = "rack"
 THEORIES = (QUANDLE, RACK)
 
 
+def check_theory(theory: str) -> None:
+    """Raise ValueError unless ``theory`` is QUANDLE or RACK."""
+    if theory not in THEORIES:
+        raise ValueError(f"unknown theory {theory!r}")
+
+
 class RackNF(NamedTuple):
     """Rack normal form: a head letter and a reduced group word."""
 

@@ -78,23 +78,12 @@ def mul(*parts: Iterable[SignedLetter]) -> GroupWord:
     return reduce(flat)
 
 
-def mul_reduced(*parts: GroupWord) -> GroupWord:
-    """Reduced concatenation of words that are each reduced already.
-
-    Precondition: every part is reduced.  Then letters can cancel only where
-    two parts meet, so each seam is scanned only as far as it cancels and the
-    rest is copied unchanged.  ``mul`` accepts any words.
-    """
-    out: list[SignedLetter] = []
-    for part in parts:
-        extend_reduced(out, part)
-    return tuple(out)
-
-
 def extend_reduced(out: list[SignedLetter], part: Sequence[SignedLetter]) -> None:
     """Append ``part`` to ``out`` in place, cancelling across the seam.
 
-    Precondition: both are reduced; then ``out`` stays reduced.
+    Precondition: both are reduced; then ``out`` stays reduced.  Letters can
+    cancel only at the seam, so it is scanned only as far as it cancels and
+    the rest of ``part`` is copied unchanged.
     """
     k = 0
     while k < len(part) and out and out[-1] == INVERSE[part[k]]:
@@ -118,10 +107,6 @@ def subst(word: GroupWord, value: GroupWord, target: str) -> GroupWord:
         else:
             out.append((l, e))
     return reduce(out)
-
-
-def equal(u: Iterable[SignedLetter], v: Iterable[SignedLetter]) -> bool:
-    return reduce(u) == reduce(v)
 
 
 def split_leading_run(word: GroupWord, target: str) -> tuple[int, GroupWord]:

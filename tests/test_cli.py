@@ -214,3 +214,25 @@ def test_verify_rejects_negative_bound(capsys, suite, option):
     assert code == 2
     assert not out
     assert f"{option[2:].replace('-', '_')} must be >= 0" in err
+
+
+LONG_WORD = [["y1", 1], ["y2", -1]] * 1500
+
+
+@pytest.mark.parametrize("theory, z", [("quandle", 0), ("rack", 0), ("rack", -2000)])
+def test_apply_and_inner_check_on_long_words(capsys, theory, z):
+    elem = {"theory": theory, "word": LONG_WORD}
+    if theory == "rack":
+        elem["z"] = z
+    common = ["--theory", theory, "--gens", "2"]
+    code, out, err = run(capsys, *common, "apply", json.dumps(elem), "y1", "--images", "y1", "y2")
+    assert (code, err) == (0, "")
+    assert out.count("|>") == len(LONG_WORD) + abs(z)
+    images = []
+    for g in ("y1", "y2"):
+        code, out, err = run(capsys, *common, "apply", json.dumps(elem), g, "--images", "y1", "y2")
+        assert (code, err) == (0, "")
+        images.append(out.strip())
+    code, out, err = run(capsys, *common, "--json", "inner-check", *images)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == elem

@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quandles import decide, isotropy, words
+from quandles import decide, isotropy, rewrite, suites, translate, words
 from quandles.isotropy import (
     QUANDLE_IDENTITY,
     RACK_IDENTITY,
@@ -10,7 +11,7 @@ from quandles.isotropy import (
     QuandleElem,
     RackElem,
 )
-from quandles.terms import X, Atom, parse, subst
+from quandles.terms import X, Atom, Node, gen, parse, render, subst, subst_many
 
 Y1 = ("y1", 1)
 Y1I = ("y1", -1)
@@ -165,6 +166,45 @@ def test_apply_inner_examples():
     assert got == q("y1 |> y1", 1)
 
 
+def reference_apply_inner(a, images, q):
+    """The element's canonical term with the images substituted for the
+    generators, then ``q`` for ``x``: the definition ``apply_inner`` builds
+    directly."""
+    t = subst_many(isotropy.elem_to_term(a), {gen(i + 1): img for i, img in enumerate(images)})
+    return subst(t, q, X)
+
+
+def _small_terms(letters):
+    return st.recursive(
+        st.sampled_from([Atom(l) for l in letters]),
+        lambda sub: st.builds(Node, st.sampled_from((1, -1)), sub, sub),
+        max_leaves=6,
+    )
+
+
+_GENS3 = ("y1", "y2", "y3")
+
+
+@given(
+    st.integers(-3, 3),
+    st.lists(st.tuples(st.sampled_from(_GENS3), st.sampled_from((1, -1))), max_size=8).map(words.reduce),
+    st.lists(_small_terms(("x",) + _GENS3), min_size=3, max_size=3),
+    _small_terms(("x", "y1", "y2")),
+    st.sampled_from(("quandle", "rack")),
+)
+def test_apply_inner_matches_substitution_reference(z, word, images, q, theory):
+    # images may contain x, which gets q as well; rack elements carry z
+    a = isotropy.element(theory, z, word)
+    assert render(isotropy.apply_inner(a, images, q)) == render(reference_apply_inner(a, images, q))
+
+
+def test_apply_inner_on_long_words():
+    word = ((("y1", 1), ("y2", -1)) * 1500)
+    for a in (QuandleElem(word), RackElem(-2000, word)):
+        got = isotropy.apply_inner(a, [q("y2 |> x"), q("x |>~ y1")], q("y1"))
+        assert render(got).count("|>") == 2 * len(word) + abs(a.z)
+
+
 def test_apply_inner_arity_check():
     with pytest.raises(ArityMismatchError):
         isotropy.apply_inner(QuandleElem((Y2,)), [q("y1")], q("y1"))
@@ -258,3 +298,27 @@ def test_elem_json_validation():
         isotropy.elem_from_json({"theory": "rack", "z": True, "word": []})
     with pytest.raises(ValueError):
         isotropy.elem_from_json(["quandle"])
+
+
+# --- unknown theories -----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: isotropy.canon(parse("x |> x", 0), "bogus"),
+        lambda: isotropy.canon(parse("y1", 1), "bogus"),
+        lambda: isotropy.element("bogus", 0, ()),
+        lambda: isotropy.inner_witness([parse("y2", 2), parse("y1", 2)], 2, "bogus"),
+        lambda: isotropy.commutes_generically(parse("x", 0), "bogus"),
+        lambda: translate.normal_form(parse("x", 0), "bogus"),
+        lambda: decide.term_equal(parse("x", 0), parse("x", 0), "bogus"),
+        lambda: rewrite.rewrite_closure(parse("x |> x", 0), "bogus", 2),
+        lambda: rewrite.rewrite_closure(parse("x", 0), "bogus", 0),
+        lambda: rewrite.rewrite_neighbors(parse("x", 0), "bogus"),
+        lambda: rewrite.axioms("bogus"),
+        *[lambda name=name: suites.run_suite(name, theory="bogus") for name in ("global", "axioms", "inner")],
+    ],
+)
+def test_unknown_theory_is_rejected(call):
+    with pytest.raises(ValueError, match="unknown theory 'bogus'"):
+        call()

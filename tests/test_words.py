@@ -89,7 +89,10 @@ def test_group_laws_exhaustive():
 
 @given(st.lists(_signed(letters=("x", "y1", "y2")).map(words.reduce), max_size=5))
 def test_mul_reduced_matches_mul_on_reduced_parts(parts):
-    assert words.mul_reduced(*parts) == words.mul(*parts)
+    out = []
+    for part in parts:
+        words.extend_reduced(out, part)
+    assert tuple(out) == words.mul(*parts)
 
 
 @given(_signed())
@@ -110,12 +113,6 @@ def test_subst_examples():
 @given(_signed(letters=("x", "y1")), _signed())
 def test_subst_commutes_with_inverse(u, v):
     assert words.inv(words.subst(u, v, "x")) == words.subst(words.inv(u), v, "x")
-
-
-def test_equal_examples():
-    assert words.equal((Y1, Y1I), ())
-    assert not words.equal((Y1,), (Y2,))
-    assert words.equal((("x", 1), Y1, Y1I), (("x", 1),))
 
 
 # --- reduced-word structure ------------------------------------------------
