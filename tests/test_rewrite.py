@@ -2,7 +2,7 @@ import random
 
 from quandles import decide, rewrite
 from quandles.decide import QUANDLE, RACK
-from quandles.terms import Atom, Node, gen, parse, random_term, size
+from quandles.terms import Atom, Node, enumerate_terms, gen, parse, random_term, size
 
 
 def q(text, n=2):
@@ -100,3 +100,35 @@ def test_cross_validate_deterministic_and_serializable():
     assert a.to_json() == b.to_json()
     assert "violations: 0" in a.to_text()
     assert a.to_json()["ok"] is True
+
+
+def _replace_at_reference(t, path, new):
+    if not path:
+        return new
+    if path[0] == 0:
+        return Node(t.sign, _replace_at_reference(t.left, path[1:], new), t.right)
+    return Node(t.sign, t.left, _replace_at_reference(t.right, path[1:], new))
+
+
+def _positions_reference(t, path=()):
+    yield path, t
+    if isinstance(t, Node):
+        yield from _positions_reference(t.left, path + (0,))
+        yield from _positions_reference(t.right, path + (1,))
+
+
+def rewrite_steps_reference(t, theory):
+    """Reference: subterms in recursive pre-order, each rewrite rebuilt
+    recursively along its path."""
+    idempotent = theory == QUANDLE
+    return [
+        (rewrite.RewriteStep(axiom, direction, path), _replace_at_reference(t, path, new_sub))
+        for path, u in _positions_reference(t)
+        for axiom, direction, new_sub in rewrite._local_rewrites(u, idempotent)
+    ]
+
+
+def test_rewrite_steps_match_reference_exhaustive():
+    for theory in (QUANDLE, RACK):
+        for t in enumerate_terms((gen(1), gen(2)), 7):
+            assert rewrite.rewrite_steps(t, theory) == rewrite_steps_reference(t, theory)

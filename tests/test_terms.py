@@ -289,6 +289,36 @@ def test_left_of_examples():
     assert terms.left_of(terms.parse("y1 |> x", 1)) == "y1"
 
 
+def subst_reference(t, s, target):
+    """Reference: substitution by structural recursion."""
+    if isinstance(t, Atom):
+        return s if t.letter == target else t
+    return Node(t.sign, subst_reference(t.left, s, target), subst_reference(t.right, s, target))
+
+
+def subst_many_reference(t, mapping):
+    """Reference: simultaneous substitution by structural recursion."""
+    if isinstance(t, Atom):
+        return mapping.get(t.letter, t)
+    return Node(t.sign, subst_many_reference(t.left, mapping), subst_many_reference(t.right, mapping))
+
+
+_TARGETS = st.sampled_from(("x", "x0", "y1", "y2", "y3"))
+
+
+@given(_terms_strategy(letters=("x", "x0", "y1", "y2")), _terms_strategy(letters=("x", "y1", "y3")), _TARGETS)
+def test_subst_matches_reference(t, s, target):
+    assert terms.subst(t, s, target) == subst_reference(t, s, target)
+
+
+@given(
+    _terms_strategy(letters=("x", "x0", "y1", "y2")),
+    st.dictionaries(_TARGETS, _terms_strategy(letters=("x", "y1", "y3")), max_size=4),
+)
+def test_subst_many_matches_reference(t, mapping):
+    assert terms.subst_many(t, mapping) == subst_many_reference(t, mapping)
+
+
 def test_subst_many_is_simultaneous():
     t = terms.parse("y1 |> y2", 2)
     swapped = terms.subst_many(t, {"y1": Atom("y2"), "y2": Atom("y1")})
