@@ -29,7 +29,7 @@ already pin down; no search is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 from . import decide, translate, words
 from .decide import QUANDLE, RACK
@@ -187,21 +187,17 @@ def rack_embed(z: int, u: GroupWord) -> RackElem:
 # Action on models presented by generator images
 # ---------------------------------------------------------------------------
 
+def _check_arity(letters: Iterable[str], images: list[Term], what: str) -> None:
+    """Raise ArityMismatchError if ``letters`` use a generator beyond ``len(images)``."""
+    high = max((gen_index(l) for l in letters if is_gen(l)), default=0)
+    if high > len(images):
+        raise ArityMismatchError(f"{what} uses y{high} but only {len(images)} images given")
+
+
 def apply_hom(t: Term, images: list[Term]) -> Term:
     """Apply the homomorphism sending y_i to images[i-1] (simultaneously)."""
-    high = _max_gen_index(t)
-    if high > len(images):
-        raise ArityMismatchError(f"term uses y{high} but only {len(images)} images given")
+    _check_arity(atoms_of(t), images, "term")
     return subst_many(t, {gen(i + 1): img for i, img in enumerate(images)})
-
-
-def _gen_atoms(t: Term) -> set[str]:
-    return {a for a in atoms_of(t) if is_gen(a)}
-
-
-def _max_gen_index(t: Term) -> int:
-    indices = [gen_index(a) for a in _gen_atoms(t)]
-    return max(indices, default=0)
 
 
 def apply_inner(a: Elem, images: list[Term], q: Term) -> Term:
@@ -214,49 +210,13 @@ def apply_inner(a: Elem, images: list[Term], q: Term) -> Term:
     the element uses a generator beyond ``len(images)``.
     """
     letters = {l for l, _ in a.word}
-    high = max(map(gen_index, letters), default=0)
-    if high > len(images):
-        raise ArityMismatchError(
-            f"element uses y{high} but only {len(images)} images given"
-        )
+    _check_arity(letters, images, "element")
     return _chain(a, q, {l: subst(images[gen_index(l) - 1], q, X) for l in letters})
 
 
 # ---------------------------------------------------------------------------
 # Inner-endomorphism witnesses
 # ---------------------------------------------------------------------------
-
-def _inner_split(images: list[Term], n: int) -> tuple[list[int], GroupWord] | None:
-    """Powers ``k_i`` and one word ``w`` with ``rack_image(images[i-1])`` equal
-    to ``(y_i, y_i^k_i * w)`` for every i, or None if there are none.
-
-    For n >= 2 the word is unique: ``tail_1 * tail_2^-1`` reduces to
-    ``y1^k1 * y2^-k2``, which fixes ``k1`` and so ``w = y1^-k1 * tail_1``.
-    For n = 1 the tail's maximal leading ``y1``-power is split off.
-    """
-    if len(images) != n:
-        raise ArityMismatchError(f"expected {n} images, got {len(images)}")
-    tails: list[GroupWord] = []
-    for i, img in enumerate(images, start=1):
-        head, tail = translate.rack_image(img)
-        if head != gen(i) or not all(is_gen(l) for l, _ in tail):
-            return None
-        tails.append(tail)
-    if n == 0:
-        return [], EMPTY
-    if n == 1:
-        k, w = words.split_leading_run(tails[0], gen(1))
-        return [k], w
-    k1, _ = words.split_leading_run(words.mul(tails[0], words.inv(tails[1])), gen(1))
-    w = words.mul(words.run(gen(1), -k1), tails[0])
-    powers: list[int] = []
-    for i, tail in enumerate(tails, start=1):
-        k, rest = words.split_leading_run(words.mul(tail, words.inv(w)), gen(i))
-        if rest:
-            return None
-        powers.append(k)
-    return powers, w
-
 
 def _induces(elem: Elem, images: list[Term]) -> bool:
     """Whether ``elem`` sends each generator y_i to images[i-1], by the decider."""
@@ -271,21 +231,32 @@ def inner_witness(images: list[Term], n: int, theory: str) -> Elem | None:
     """Element inducing the endomorphism y_i -> images[i-1], if it is inner.
 
     Image i is the conjugate ``w^-1 y_i w`` of a candidate ``w`` in the
-    quandle exactly when its tail is ``y_i^k_i * w`` for some ``k_i``, since
-    the centraliser of ``y_i`` is <y_i>.  A rack witness ``(z, w)`` also needs
-    every ``k_i`` equal to ``z``; for n = 1 the maximal-leading-power split
-    is returned (any split of the single tail induces the same
-    endomorphism).  The witness from ``_inner_split`` is verified by
-    re-applying it to every generator.
+    quandle exactly when its rack image is ``(y_i, y_i^k_i * w)`` for some
+    ``k_i``, since the centraliser of ``y_i`` is <y_i>; a rack witness
+    ``(z, w)`` needs every ``k_i`` equal to ``z``.  The first tails fix the
+    only candidate.  For n >= 2 it is unique: ``tail_1 * tail_2^-1`` reduces
+    to ``y1^k1 * y2^-k2``, which fixes ``z = k1`` and ``w = y1^-k1 * tail_1``.
+    For n = 1 the tail's maximal leading ``y1``-power is split off (any split
+    induces the same endomorphism), and for n = 0 the identity is returned.
+    The candidate is inner exactly when re-applying it to every generator
+    gives the images back, which the decider checks.
     """
     check_theory(theory)
-    split = _inner_split(images, n)
-    if split is None:
-        return None
-    powers, w = split
-    z = powers[0] if powers else 0
-    if theory == RACK and any(k != z for k in powers):
-        return None
+    if len(images) != n:
+        raise ArityMismatchError(f"expected {n} images, got {len(images)}")
+    tails: list[GroupWord] = []
+    for i, img in enumerate(images, start=1):
+        head, tail = translate.rack_image(img)
+        if head != gen(i) or not all(is_gen(l) for l, _ in tail):
+            return None
+        tails.append(tail)
+    if n == 0:
+        z, w = 0, EMPTY
+    elif n == 1:
+        z, w = words.split_leading_run(tails[0], gen(1))
+    else:
+        z, _ = words.split_leading_run(words.mul(tails[0], words.inv(tails[1])), gen(1))
+        w = words.mul(words.run(gen(1), -z), tails[0])
     elem = element(theory, z, w)
     return elem if _induces(elem, images) else None
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import decide, translate
 from .decide import QUANDLE, RACK
-from .terms import Atom, Node, Term, enumerate_terms, render, size
+from .terms import Node, Term, enumerate_terms, render, size
 from .translate import check_theory
 
 DIST_POS = "dist+"      # (a |> b) |> c  =  (a |> c) |> (b |> c)
@@ -70,42 +70,31 @@ def _local_rewrites(u: Term, idempotent: bool) -> list[tuple[str, str, Term]]:
     return out
 
 
-def _replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    assert isinstance(t, Node)
-    if path[0] == 0:
-        return Node(t.sign, _replace_at(t.left, path[1:], new), t.right)
-    return Node(t.sign, t.left, _replace_at(t.right, path[1:], new))
-
-
-def _positions(t: Term, path: tuple[int, ...] = ()):
-    yield path, t
-    if isinstance(t, Node):
-        yield from _positions(t.left, path + (0,))
-        yield from _positions(t.right, path + (1,))
-
-
 def rewrite_steps(t: Term, theory: str) -> list[tuple[RewriteStep, Term]]:
-    """All single axiom applications in ``t`` with the resulting terms."""
+    """All single axiom applications in ``t`` with the resulting terms.
+
+    Subterms are visited in pre-order (a node, then its left subtree, then
+    its right one) from an explicit stack that holds each subterm with its
+    path and the nodes above it; a rewrite rebuilds only those nodes.
+    """
     idempotent = IDEM_POS in axioms(theory)
     out: list[tuple[RewriteStep, Term]] = []
-    for path, u in _positions(t):
-        for axiom, direction, new_sub in _local_rewrites(u, idempotent):
-            out.append((RewriteStep(axiom, direction, path), _replace_at(t, path, new_sub)))
+    todo: list[tuple[tuple[int, ...], Term, tuple[Node, ...]]] = [((), t, ())]
+    while todo:
+        path, u, above = todo.pop()
+        for axiom, direction, new in _local_rewrites(u, idempotent):
+            for node, side in zip(reversed(above), reversed(path)):
+                new = Node(node.sign, new, node.right) if side == 0 else Node(node.sign, node.left, new)
+            out.append((RewriteStep(axiom, direction, path), new))
+        if isinstance(u, Node):
+            above += (u,)
+            todo.append((path + (1,), u.right, above))
+            todo.append((path + (0,), u.left, above))
     return out
 
 
-_neighbor_cache: dict[tuple[Term, str], frozenset[Term]] = {}
-
-
 def rewrite_neighbors(t: Term, theory: str) -> frozenset[Term]:
-    key = (t, theory)
-    cached = _neighbor_cache.get(key)
-    if cached is None:
-        cached = frozenset(new for _, new in rewrite_steps(t, theory))
-        _neighbor_cache[key] = cached
-    return cached
+    return frozenset(new for _, new in rewrite_steps(t, theory))
 
 
 def rewrite_closure(
@@ -200,10 +189,9 @@ def cross_validate(
     for t in universe:
         closure = rewrite_closure(t, theory, max_steps)
         closures[t] = closure
-        for u in sorted(closure, key=render):
-            report.pairs_checked += 1
-            if not decide.term_equal(t, u, theory):
-                report.violations.append((render(t), render(u)))
+        report.pairs_checked += len(closure)
+        disagreeing = sorted(render(u) for u in closure if not decide.term_equal(t, u, theory))
+        report.violations.extend((render(t), u) for u in disagreeing)
 
     by_class: dict[tuple, list[Term]] = {}
     for t in universe:

@@ -50,7 +50,9 @@ def gen(i: int) -> str:
 
 
 def is_gen(letter: str) -> bool:
-    return len(letter) > 1 and letter[0] == "y" and letter[1:].isdigit()
+    """Whether ``letter`` is ``y`` followed by one or more ASCII digits."""
+    digits = letter[1:]
+    return letter[:1] == "y" and digits.isascii() and digits.isdigit()
 
 
 def gen_index(letter: str) -> int:
@@ -115,12 +117,6 @@ class Node:
 Term = Union[Atom, Node]
 
 
-def op(sign: int, left: Term, right: Term) -> Node:
-    if sign not in (1, -1):
-        raise ValueError(f"operation sign must be +1 or -1, got {sign}")
-    return Node(sign, left, right)
-
-
 def size(t: Term) -> int:
     """Number of constructors (atoms and nodes) in the term."""
     if isinstance(t, Atom):
@@ -143,16 +139,43 @@ def atoms_of(t: Term) -> set[str]:
 
 def subst(t: Term, s: Term, target: str) -> Term:
     """Replace every atom named ``target`` in ``t`` by the term ``s``."""
-    if isinstance(t, Atom):
-        return s if t.letter == target else t
-    return Node(t.sign, subst(t.left, s, target), subst(t.right, s, target))
+    return subst_many(t, {target: s})
 
 
 def subst_many(t: Term, mapping: Mapping[str, Term]) -> Term:
-    """Simultaneously replace atoms per ``mapping`` (unlisted atoms stay)."""
-    if isinstance(t, Atom):
-        return mapping.get(t.letter, t)
-    return Node(t.sign, subst_many(t.left, mapping), subst_many(t.right, mapping))
+    """Simultaneously replace atoms per ``mapping`` (unlisted atoms stay).
+
+    Each left spine is walked down to its head atom in a loop and rebuilt
+    bottom-up; while a composite right child is substituted, its spine and
+    the image built so far wait on an explicit stack, so terms of any depth
+    are substituted.  A node whose children come back unchanged is kept as
+    it is.
+    """
+    suspended: list[tuple[list[Node], int, Term]] = []
+    while True:
+        spine: list[Node] = []
+        while isinstance(t, Node):
+            spine.append(t)
+            t = t.left
+        done = mapping.get(t.letter, t)
+        k = len(spine)
+        while True:
+            if k:
+                k -= 1
+                t = spine[k].right
+                if isinstance(t, Node):
+                    suspended.append((spine, k, done))
+                    break
+                right = mapping.get(t.letter, t)
+            elif suspended:
+                right = done
+                spine, k, done = suspended.pop()
+            else:
+                return done
+            node = spine[k]
+            if done is not node.left or right is not node.right:
+                node = Node(node.sign, done, right)
+            done = node
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +216,9 @@ def render(t: Term) -> str:
 
 
 # One token per match: an operator, a parenthesis, an atom ("x" or "y" and
-# its decimal digits), or any other non-space character, which is an error.
-# Whitespace is skipped; re's \s and \d are str.isspace and str.isdecimal.
-_TOKEN = re.compile(r"\|>~|\|>|[()]|[xy]\d*|\S")
+# its ASCII digits), or any other non-space character, which is an error.
+# Whitespace is skipped; re's \s is str.isspace.
+_TOKEN = re.compile(r"\|>~|\|>|[()]|[xy][0-9]*|\S")
 _SIGNS = {"|>": 1, "|>~": -1}
 _OP_NAMES = {"|>": "+", "|>~": "-"}  # how error messages name the operators
 
@@ -268,7 +291,10 @@ def _atom(tok: str, n: int, allow_aux: bool, index: int) -> Atom:
             raise _Malformed(f"auxiliary atom {tok!r} not allowed", index)
         return Atom(tok)
     if tok[0] == "y" and len(tok) > 1:
-        i = int(tok[1:])
+        try:
+            i = int(tok[1:])
+        except ValueError:  # more digits than int() converts
+            raise _Malformed(f"generator index of {len(tok) - 1} digits is too long", index) from None
         if not 1 <= i <= n:
             raise UnknownGeneratorError(i, n)
         return Atom(gen(i))
@@ -278,9 +304,8 @@ def _atom(tok: str, n: int, allow_aux: bool, index: int) -> Atom:
 def _located_tokens(text: str) -> tuple[list[str], list[int]]:
     """The tokens of ``text`` with their offsets, for reporting errors.
 
-    Raises on the first character that starts no token.  A digit that is not
-    decimal (such as a superscript) extends the atom right before it, as any
-    ``str.isdigit`` character does; the atom is then rejected as a factor.
+    Raises on the first character that starts no token, such as a digit
+    that is not ASCII (``y²``, ``y٣``).
     """
     tokens: list[str] = []
     starts: list[int] = []
@@ -289,8 +314,6 @@ def _located_tokens(text: str) -> tuple[list[str], list[int]]:
         if tok in _SIGNS or tok in "()" or tok[0] in "xy":
             tokens.append(tok)
             starts.append(at)
-        elif tok.isdigit() and tokens and tokens[-1][0] in "xy" and starts[-1] + len(tokens[-1]) == at:
-            tokens[-1] += tok
         else:
             raise TermSyntaxError(f"unexpected character {tok!r}", at)
     return tokens, starts
@@ -301,7 +324,8 @@ def parse(text: str, n: int, allow_aux: bool = True) -> Term:
 
     The grammar is  term := factor { ("|>" | "|>~") factor },
     factor := atom | "(" term ")",  atom := "x" | "x0" | "x1" | "y" digits,
-    with both operators left-associative at equal precedence.
+    with ASCII digits and both operators left-associative at equal
+    precedence.
 
     One regular-expression scan splits the text into tokens and one loop
     with an explicit stack builds the term, so nesting has no depth limit.

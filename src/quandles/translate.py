@@ -47,11 +47,7 @@ class RackNF(NamedTuple):
 
 
 def rack_image(t: Term) -> RackNF:
-    return RackNF(*_rack_pair(t))
-
-
-def _rack_pair(t: Term) -> tuple[str, GroupWord]:
-    """``rack_image`` as a plain pair, folded along left spines.
+    """The rack normal form of ``t``, folded along left spines.
 
     A term is a left spine ``((a |>^e1 r1) |>^e2 r2) ... |>^ek rk``: its head
     is the atom ``a`` and its tail the reduced product of the conjugates
@@ -88,7 +84,7 @@ def _rack_pair(t: Term) -> tuple[str, GroupWord]:
                     j -= 1
                 tail.extend(map(inverse.__getitem__, reversed(w[:j] if j < len(w) else w)))
             else:
-                return head, tuple(tail)
+                return RackNF(head, tuple(tail))
             # tail * h^e * w, with h^e as the table's shared signed letter
             signed = inverse[inverse[h, node.sign]]
             if tail and tail[-1] == inverse[signed]:

@@ -236,3 +236,19 @@ def test_apply_and_inner_check_on_long_words(capsys, theory, z):
     code, out, err = run(capsys, *common, "--json", "inner-check", *images)
     assert (code, err) == (0, "")
     assert json.loads(out) == elem
+
+
+@pytest.mark.parametrize("theory", ["quandle", "rack"])
+def test_apply_with_deep_image(capsys, theory):
+    elem = json.dumps({"theory": theory, "word": [["y1", 1]]})
+    code, out, err = run(capsys, "--theory", theory, "--gens", "1", "apply", elem, "y1", "--images", DEEP_CHAIN)
+    assert (code, err) == (0, "")
+    assert out.strip() == "y1 |> (y1" + " |> y1" * 3000 + ")"
+
+
+@pytest.mark.parametrize("theory", ["quandle", "rack"])
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_verify_inner_with_fewer_than_two_generators(capsys, theory, n):
+    code, out, err = run(capsys, "--theory", theory, "verify", "inner", "--n", n)
+    assert (code, err) == (0, "")
+    assert "witnesses induce the same images" in out

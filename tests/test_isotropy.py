@@ -280,6 +280,25 @@ def test_rack_witness_single_generator_reproduces_endomorphism():
 
 # --- JSON ---------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_inner_suite_catches_a_wrong_witness(monkeypatch, n):
+    # the wrong witness applies y1 once more: for n = 1 a quandle cannot tell
+    # (y1 commutes with itself), a rack can (one more self-application)
+    honest = isotropy.inner_witness
+
+    def wrong(images, n, theory):
+        witness = honest(images, n, theory)
+        return None if witness is None else isotropy.mul(witness, isotropy.element(theory, 1, (Y1,)))
+
+    monkeypatch.setattr(isotropy, "inner_witness", wrong)
+    report = suites.run_suite("inner", max_len=2, max_z=1, n=n)
+    failed = [c.label for c in report.checks if not c.ok]
+    if n == 2:
+        assert failed == ["quandle witnesses recovered exactly", "rack witnesses recovered exactly"]
+    else:
+        assert failed == ["rack witnesses induce the same images"]
+
+
 def test_elem_json_round_trip():
     for elem in (QuandleElem((Y1, Y2I)), QUANDLE_IDENTITY, RackElem(-2, (Y2,)), RACK_IDENTITY):
         data = isotropy.elem_to_json(elem)

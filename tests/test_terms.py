@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ def _tokenize_reference(text):
             i += 2
         elif c in ("x", "y"):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             tokens.append(("atom", text[i:j], i))
             i = j
@@ -73,6 +74,8 @@ def parse_reference(text, n, allow_aux=True):
             else:
                 raise TermSyntaxError(f"bad atom {value!r}", at)
             if is_gen(value):
+                if 0 < sys.get_int_max_str_digits() < len(value) - 1:
+                    raise TermSyntaxError(f"generator index of {len(value) - 1} digits is too long", at)
                 i = gen_index(value)
                 if not 1 <= i <= n:
                     raise UnknownGeneratorError(i, n)
@@ -174,6 +177,21 @@ def test_parse_matches_reference_on_arbitrary_text(text, allow_aux):
 def test_parse_errors_match_reference(text):
     for allow_aux in (True, False):
         assert _outcome(terms.parse, text, 3, allow_aux) == _outcome(parse_reference, text, 3, allow_aux)
+
+
+@pytest.mark.parametrize("text, position", [("y²", 1), ("y٣", 1), ("x |> y1²", 7), ("y0٣", 2)])
+def test_generator_digits_are_ascii(text, position):
+    with pytest.raises(TermSyntaxError) as exc:
+        terms.parse(text, 3)
+    assert exc.value.position == position
+    assert not is_gen(text.split()[-1])
+
+
+def test_overlong_generator_index_is_a_syntax_error():
+    for text, position in (("y" + "9" * 5000, 0), ("x |> y" + "0" * 4300 + "1", 5)):
+        with pytest.raises(TermSyntaxError) as exc:
+            terms.parse(text, 3)
+        assert exc.value.position == position
 
 
 def test_parse_deep_parentheses():
@@ -317,6 +335,28 @@ def test_subst_matches_reference(t, s, target):
 )
 def test_subst_many_matches_reference(t, mapping):
     assert terms.subst_many(t, mapping) == subst_many_reference(t, mapping)
+
+
+def test_subst_deep_terms():
+    chain, nested = Atom("x"), Atom("x")
+    for i in range(3000):
+        chain = Node(1 if i % 3 else -1, chain, Atom("y1"))
+        nested = Node(1, Atom("y1"), nested)
+    s = Node(1, Atom("y2"), Atom("x"))
+    # x stands left in the chain and right in the nested term; Node equality
+    # recurses, so the deep results are compared as text
+    for t, spelled in ((chain, "y2 |> x"), (nested, "(y2 |> x)")):
+        assert terms.render(terms.subst(t, s, "x")) == terms.render(t).replace("x", spelled)
+        assert terms.subst_many(t, {"y2": s}) is t
+
+
+@given(_terms_strategy(letters=("x", "y1", "y2")))
+def test_subst_keeps_unchanged_subterms(t):
+    assert terms.subst(t, Atom("x"), "y3") is t
+    image = terms.subst_many(t, {"y1": Atom("y2")})
+    if isinstance(t, Node) and isinstance(image, Node):
+        for old, new in ((t.left, image.left), (t.right, image.right)):
+            assert (new is old) == ("y1" not in terms.atoms_of(old))
 
 
 def test_subst_many_is_simultaneous():
