@@ -1,8 +1,12 @@
 import random
 
-from quandles import decide, rewrite
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_translate import recursive_rack_image
+
+from quandles import decide, rewrite, translate
 from quandles.decide import QUANDLE, RACK
-from quandles.terms import Node, enumerate_terms, gen, parse, random_term
+from quandles.terms import X, Atom, Node, enumerate_terms, gen, parse, random_term
 
 
 def q(text, n=2):
@@ -86,3 +90,108 @@ def test_rack_equality_implies_quandle_equality():
                 assert decide.quandle_equal(s, t)
                 pairs += 1
     assert pairs > 50
+
+
+# --- agreement with the recursive reference, over small and large alphabets --
+
+# Alphabets whose letters need one, two and four bytes each in a compact
+# encoding of seven bits per byte (up to 128, 16,384 and 2^28 letters).
+ALPHABETS = {n: (X,) + tuple(gen(i) for i in range(1, n)) for n in (4, 200, 20000)}
+
+
+def _cover(alphabet):
+    """``x |> a1 |>~ a1 |> a2 |>~ a2 ...`` through the rest of the alphabet,
+    which is ``x`` by the cancellation axiom."""
+    chain = Atom(X)
+    for letter in alphabet[1:]:
+        chain = Node(-1, Node(1, chain, Atom(letter)), Atom(letter))
+    return chain
+
+
+COVERS = {n: _cover(letters) for n, letters in ALPHABETS.items()}
+
+
+def _padded(t, cover):
+    """``t`` with its head atom h replaced by ``(h |> cover) |>~ x``.
+
+    The cover equals ``x``, so the replacement is ``(h |> x) |>~ x = h`` by
+    the cancellation axiom, in both theories, and
+    the padded term has the reference key of ``t``.  A left-to-right walk
+    meets every letter of the cover before the right children of ``t``.
+    """
+    spine = []
+    while isinstance(t, Node):
+        spine.append(t)
+        t = t.left
+    t = Node(-1, Node(1, t, cover), Atom(X))
+    for node in reversed(spine):
+        t = Node(node.sign, t, node.right)
+    return t
+
+
+def _reference_key(t, theory):
+    """The key of the structural-recursion reference: the rack normal form,
+    whose tail for quandles loses its leading run of the head."""
+    head, tail = recursive_rack_image(t)
+    if theory == QUANDLE:
+        i = 0
+        while i < len(tail) and tail[i][0] == head:
+            i += 1
+        tail = tail[i:]
+    return head, tail
+
+
+@st.composite
+def _balanced_terms(draw, letters, max_leaves=40):
+    """A term over ``letters`` whose every node puts between a quarter and
+    three quarters of its leaves on the left, so that its depth is
+    logarithmic and the recursive reference stays shallow."""
+    leaves = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=max_leaves))
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return Atom(leaves[lo])
+        margin = max(1, (hi - lo) // 4)
+        cut = draw(st.integers(lo + margin, hi - margin))
+        return Node(draw(st.sampled_from((1, -1))), build(lo, cut), build(cut, hi))
+
+    return build(0, len(leaves))
+
+
+def _check_against_reference(data, alphabet_size):
+    letters, cover = ALPHABETS[alphabet_size], COVERS[alphabet_size]
+    theory = data.draw(st.sampled_from((QUANDLE, RACK)))
+    s = data.draw(_balanced_terms(letters))
+    if data.draw(st.booleans()):
+        # an equal pair: up to three axiom steps away
+        t = s
+        for _ in range(data.draw(st.integers(1, 3))):
+            steps = rewrite.rewrite_steps(t, theory)
+            if steps:
+                t = steps[data.draw(st.integers(0, len(steps) - 1))][1]
+        assert _reference_key(s, theory) == _reference_key(t, theory)
+    else:
+        t = data.draw(_balanced_terms(letters))
+    key_s, key_t = _reference_key(s, theory), _reference_key(t, theory)
+    assert translate.normal_form(s, theory) == key_s
+    assert translate.normal_form(t, theory) == key_t
+    # padded first, so that in one call the letters of both terms come
+    # after the whole alphabet in the order a walk meets them
+    padded = _padded(s, cover)
+    assert translate.normal_form(padded, theory) == key_s
+    named = decide.quandle_equal if theory == QUANDLE else decide.rack_equal
+    equal = data.draw(st.sampled_from((named, lambda a, b: decide.term_equal(a, b, theory))))
+    assert equal(padded, t) == (key_s == key_t)
+
+
+@pytest.mark.parametrize("alphabet_size", [4, 200])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_deciders_match_recursive_reference(alphabet_size, data):
+    _check_against_reference(data, alphabet_size)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_deciders_match_recursive_reference_on_a_wide_alphabet(data):
+    _check_against_reference(data, 20000)
