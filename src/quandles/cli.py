@@ -46,24 +46,44 @@ def _emit_elem(elem, args) -> None:
         print(isotropy.elem_to_text(elem))
 
 
-def cmd_eq(args) -> int:
-    if args.stdin:
-        verdicts = []
-        for lineno, line in enumerate(sys.stdin, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
+def _eq_batch(args) -> int:
+    """One slot per non-blank stdin line: the verdict on its tab-separated
+    pair, or an error when the line is malformed.  Exit 2 if any line was."""
+    verdicts: list[bool | None] = []
+    errors: list[dict] = []
+    for lineno, line in enumerate(sys.stdin, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        try:
             if "\t" not in line:
-                raise CliError(f"line {lineno}: expected two terms separated by a tab")
+                raise CliError("expected two terms separated by a tab")
             left_text, right_text = line.split("\t", 1)
             left = _parse_term(left_text, args)
             right = _parse_term(right_text, args)
-            verdicts.append(decide.term_equal(left, right, args.theory))
+        except (CliError, ValueError) as exc:
+            verdicts.append(None)
+            errors.append({"line": lineno, "message": str(exc)})
             if not args.json:
-                print("equal" if verdicts[-1] else "not-equal")
-        if args.json:
-            print(json.dumps({"results": verdicts, "all_equal": all(verdicts)}))
-        return 0 if all(verdicts) else 1
+                print(f"error: line {lineno}: {exc}", file=sys.stderr)
+                print("error")
+            continue
+        verdicts.append(decide.term_equal(left, right, args.theory))
+        if not args.json:
+            print("equal" if verdicts[-1] else "not-equal")
+    if args.json:
+        report = {"results": verdicts, "all_equal": all(verdicts)}
+        if errors:
+            report["errors"] = errors
+        print(json.dumps(report))
+    if errors:
+        return 2
+    return 0 if all(verdicts) else 1
+
+
+def cmd_eq(args) -> int:
+    if args.stdin:
+        return _eq_batch(args)
     left = _parse_term(args.term1, args)
     right = _parse_term(args.term2, args)
     equal = decide.term_equal(left, right, args.theory)

@@ -118,10 +118,20 @@ Term = Union[Atom, Node]
 
 
 def size(t: Term) -> int:
-    """Number of constructors (atoms and nodes) in the term."""
-    if isinstance(t, Atom):
-        return 1
-    return 1 + size(t.left) + size(t.right)
+    """Number of constructors (atoms and nodes) in the term.
+
+    Walks each left spine in a loop, with the right children waiting on an
+    explicit stack, so terms of any depth are measured.
+    """
+    count, todo = 0, [t]
+    while todo:
+        t = todo.pop()
+        while isinstance(t, Node):
+            count += 1
+            todo.append(t.right)
+            t = t.left
+        count += 1
+    return count
 
 
 def left_of(t: Term) -> str:
@@ -132,9 +142,15 @@ def left_of(t: Term) -> str:
 
 
 def atoms_of(t: Term) -> set[str]:
-    if isinstance(t, Atom):
-        return {t.letter}
-    return atoms_of(t.left) | atoms_of(t.right)
+    """The letters of the atoms in the term, walked as in ``size``."""
+    letters, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        while isinstance(t, Node):
+            todo.append(t.right)
+            t = t.left
+        letters.add(t.letter)
+    return letters
 
 
 def subst(t: Term, s: Term, target: str) -> Term:

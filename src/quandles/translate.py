@@ -8,7 +8,10 @@ always the leftmost atom of the term.  Two terms are equal in the free rack
 exactly when both components agree.  The translation is computed without
 recursion: it walks each left spine down to its head atom and folds the
 spine's right children into the tail bottom-up, keeping the spines that
-wait for a composite right child on an explicit stack.
+wait for a composite right child on an explicit stack.  Tails are built as
+compact words (see ``words``), one integer code per signed letter over a
+codebook of the call's own; the deciders compare them as they are, and
+``rack_image`` and ``normal_form`` decode them into tuples of signed letters.
 
 The free-quandle normal form is a quotient of the rack one.  A term stands
 for the conjugate ``tail^-1 head tail``, and since the centraliser of a letter
@@ -22,11 +25,11 @@ direct translation ``s |> t -> T^-1 S T``, ``s |>~ t -> T S T^-1``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import words
 from .terms import Node, Term
-from .words import GroupWord, SignedLetter
+from .words import CompactWord, GroupWord
 
 QUANDLE = "quandle"
 RACK = "rack"
@@ -46,53 +49,102 @@ class RackNF(NamedTuple):
     tail: GroupWord
 
 
-def rack_image(t: Term) -> RackNF:
-    """The rack normal form of ``t``, folded along left spines.
+def _compact_images(terms: Sequence[Term]) -> tuple[dict[str, int], int, list[tuple[str, CompactWord]]]:
+    """The rack normal forms of ``terms`` as heads and compact tails.
 
     A term is a left spine ``((a |>^e1 r1) |>^e2 r2) ... |>^ek rk``: its head
     is the atom ``a`` and its tail the reduced product of the conjugates
     ``w_j^-1 h_j^e_j w_j`` with ``(h_j, w_j)`` the image of ``r_j``.  The tail
-    is built bottom-up in a list, cancelling at its end.  An atom ``r_j``
-    adds the single letter ``r_j^e_j``; a composite ``r_j`` suspends the fold
-    on an explicit stack until its own image is done.
+    is built bottom-up, cancelling at its end.  An atom ``r_j`` adds the
+    single letter ``r_j^e_j``; a composite ``r_j`` suspends the fold on an
+    explicit stack until its own image is done.
+
+    All terms share one codebook, which numbers letter names in the order
+    they are met.  Returns it, the sign mask of its width and one
+    ``(head, tail)`` per term.  The width is the narrowest whose codes
+    number every name the terms contain: a walk that meets one name too
+    many starts again at the next width.
     """
-    inverse = words.INVERSE
-    suspended: list[tuple[str, list[SignedLetter], list[Node], int]] = []
-    while True:
-        spine: list[Node] = []
-        while isinstance(t, Node):
-            spine.append(t)
-            t = t.left
-        head, tail, k = t.letter, [], len(spine)
-        while True:
-            if k:
-                k -= 1
-                node = spine[k]
-                t = node.right
-                if isinstance(t, Node):
-                    suspended.append((head, tail, spine, k))
-                    break
-                h, w = t.letter, words.EMPTY
-            elif suspended:
-                h, w = head, tail
-                head, tail, spine, k = suspended.pop()
-                node = spine[k]
-                # tail * w^-1: the end of tail may cancel against the end of w
-                j = len(w)
-                while j and tail and tail[-1] == w[j - 1]:
-                    tail.pop()
-                    j -= 1
-                tail.extend(map(inverse.__getitem__, reversed(w[:j] if j < len(w) else w)))
-            else:
-                return RackNF(head, tuple(tail))
-            # tail * h^e * w, with h^e as the table's shared signed letter
-            signed = inverse[inverse[h, node.sign]]
-            if tail and tail[-1] == inverse[signed]:
-                tail.pop()
-            else:
-                tail.append(signed)
-            if w:
-                words.extend_reduced(tail, w)
+    conjugate_onto = words.conjugate_onto
+    for new, mask, room in words.WIDTHS:
+        codes: dict[str, int] = {}
+        images = []
+        try:
+            for t in terms:
+                suspended: list[tuple[str, CompactWord, list[Node], int]] = []
+                while t is not None:
+                    spine: list[Node] = []
+                    while isinstance(t, Node):
+                        spine.append(t)
+                        t = t.left
+                    head, tail, k = t.letter, new(), len(spine)
+                    while True:
+                        if k:
+                            k -= 1
+                            node = spine[k]
+                            t = node.right
+                            if isinstance(t, Node):
+                                suspended.append((head, tail, spine, k))
+                                break
+                            h, w = t.letter, None
+                        elif suspended:
+                            h, w = head, tail
+                            head, tail, spine, k = suspended.pop()
+                            node = spine[k]
+                        else:
+                            t = None
+                            break
+                        if h in codes:
+                            c = codes[h]
+                        else:
+                            c = len(codes)
+                            if c == room:
+                                raise words.CodebookFull
+                            # below 128 an index is its own code
+                            c = codes[h] = c if c < 128 else words.letter_code(c)
+                        if node.sign < 0:
+                            c ^= mask
+                        if w:
+                            conjugate_onto(tail, w, c, mask)
+                        elif tail and tail[-1] == c ^ mask:
+                            tail.pop()
+                        else:
+                            tail.append(c)
+                images.append((head, tail))
+        except words.CodebookFull:
+            continue
+        return codes, mask, images
+    raise words.CodebookFull
+
+
+def _without_head_run(tail: CompactWord, code: int | None, mask: int) -> CompactWord:
+    """``tail`` less its leading run of the head, whose code is ``code``.
+
+    ``tail`` is reduced, so the run has a single sign.
+    """
+    if code is None or not tail or (tail[0] != code and tail[0] != code ^ mask):
+        return tail
+    first, i, n = tail[0], 1, len(tail)
+    while i < n and tail[i] == first:
+        i += 1
+    return tail[i:]
+
+
+def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactWord]]:
+    """Keys of ``terms`` over one codebook: two agree exactly when the terms
+    are provably equal in ``theory``.  Cheaper than ``normal_form``, since
+    the tails stay compact."""
+    check_theory(theory)
+    codes, mask, images = _compact_images(terms)
+    if theory == RACK:
+        return images
+    return [(head, _without_head_run(tail, codes.get(head), mask)) for head, tail in images]
+
+
+def rack_image(t: Term) -> RackNF:
+    """The rack normal form of ``t``: its head letter and reduced tail."""
+    codes, mask, ((head, tail),) = _compact_images((t,))
+    return RackNF(head, words.decode(tail, codes, mask))
 
 
 def normal_form(t: Term, theory: str) -> tuple[str, GroupWord]:
@@ -104,10 +156,9 @@ def normal_form(t: Term, theory: str) -> tuple[str, GroupWord]:
     """
     if theory == RACK:
         return rack_image(t)
-    if theory != QUANDLE:
-        raise ValueError(f"unknown theory {theory!r}")
-    head, tail = rack_image(t)
-    return head, words.split_leading_run(tail, head)[1]
+    check_theory(theory)
+    codes, mask, ((head, tail),) = _compact_images((t,))
+    return head, words.decode(_without_head_run(tail, codes.get(head), mask), codes, mask)
 
 
 def quandle_image(t: Term) -> GroupWord:

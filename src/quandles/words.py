@@ -7,16 +7,23 @@ form, so equality in the free group is structural equality after ``reduce``.
 
 Signed letters built here (``letter``, ``inv``) are shared objects, one per
 signed letter of the alphabet, so a word costs one pointer per letter.
+
+Normal forms are built as compact words instead (see the section below):
+one fixed-width integer code per signed letter, in a ``bytearray`` or an
+``array``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from array import array
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, MutableSequence
 
 from .terms import X, check_letter, is_gen, letter_key
 
 SignedLetter = tuple[str, int]
 GroupWord = tuple[SignedLetter, ...]
+CompactWord = MutableSequence[int]  # a bytearray or an array, see below
 
 EMPTY: GroupWord = ()
 
@@ -39,6 +46,19 @@ class _InverseTable(dict):
 
 
 INVERSE = _InverseTable()
+
+
+class _SignedTable(dict):
+    """Letter name -> its shared signed letters ``(name, 1), (name, -1)``,
+    filled on first use from ``INVERSE``."""
+
+    def __missing__(self, name: str) -> tuple[SignedLetter, SignedLetter]:
+        pos = INVERSE[name, -1]
+        self[name] = pair = (pos, INVERSE[pos])
+        return pair
+
+
+SIGNED = _SignedTable()
 
 
 def letter(name: str, exponent: int = 1) -> GroupWord:
@@ -76,20 +96,6 @@ def mul(*parts: Iterable[SignedLetter]) -> GroupWord:
     for part in parts:
         flat.extend(part)
     return reduce(flat)
-
-
-def extend_reduced(out: list[SignedLetter], part: Sequence[SignedLetter]) -> None:
-    """Append ``part`` to ``out`` in place, cancelling across the seam.
-
-    Precondition: both are reduced; then ``out`` stays reduced.  Letters can
-    cancel only at the seam, so it is scanned only as far as it cancels and
-    the rest of ``part`` is copied unchanged.
-    """
-    k = 0
-    while k < len(part) and out and out[-1] == INVERSE[part[k]]:
-        out.pop()
-        k += 1
-    out.extend(part[k:] if k else part)
 
 
 def inv(word: GroupWord) -> GroupWord:
@@ -138,6 +144,101 @@ def enumerate_reduced(letters: Iterable[str], max_len: int) -> Iterator[GroupWor
                 nxt.append(w + ((l, e),))
         yield from nxt
         level = nxt
+
+
+# ---------------------------------------------------------------------------
+# Compact words.  A codebook numbers the letter names that one computation
+# meets; a signed letter is then one element of W bytes, holding 7 bits of
+# the name's index in every byte and the sign in bit 7 of every byte.  So
+# ``code ^ mask`` inverts a letter at any width, and a word is inverted by two
+# bulk operations on its bytes: reversing the elements and translating every
+# byte through FLIP.  A word of 1-byte letters is a ``bytearray``, a wider
+# one an ``array`` of the matching item size.
+# ---------------------------------------------------------------------------
+
+FLIP = bytes(b ^ 0x80 for b in range(256))
+
+
+def _width(size: int) -> tuple[Callable[[], CompactWord], int, int]:
+    if size == 1:
+        new = bytearray
+    else:
+        new = partial(array, next(c for c in "HILQ" if array(c).itemsize == size))
+    return new, int.from_bytes(b"\x80" * size, "little"), 1 << 7 * size
+
+
+# For letters of 1, 2, 4 and 8 bytes: the constructor of an empty word, the
+# mask that flips a code to its inverse, and how many names the codes number.
+WIDTHS = tuple(_width(size) for size in (1, 2, 4, 8))
+
+
+class CodebookFull(Exception):
+    """More letter names than a code width numbers."""
+
+
+def letter_code(index: int) -> int:
+    """The code of name number ``index`` with exponent +1: 7 bits per byte."""
+    code = shift = 0
+    while index:
+        code |= (index & 0x7F) << shift
+        index >>= 7
+        shift += 8
+    return code
+
+
+# Up to this many letters, inverting one letter at a time is cheaper than
+# the bulk operations.
+_SHORT = 8
+
+
+def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> None:
+    """Replace ``tail`` by the reduced product ``tail * w^-1 * c * w``.
+
+    ``tail`` and ``w`` are reduced compact words of one width and ``c`` a
+    letter code.  Letters cancel only at the seams, which are scanned one
+    integer at a time as far as they cancel; the rest is copied in bulk.
+    """
+    # tail * w^-1: the end of tail may cancel against the end of w
+    j = len(w)
+    while j and tail and tail[-1] == w[j - 1]:
+        tail.pop()
+        j -= 1
+    if j > _SHORT:
+        inverse = bytearray(w[:j] if j < len(w) else w)
+        inverse.reverse()  # reverses the elements, and the bytes in each
+        inverse = inverse.translate(FLIP)
+        if type(tail) is not bytearray:
+            inverse = array(tail.typecode, inverse)
+            inverse.byteswap()  # puts the bytes of each element back in order
+        tail += inverse
+    else:
+        for j in range(j - 1, -1, -1):
+            tail.append(w[j] ^ mask)
+    if tail and tail[-1] == c ^ mask:
+        tail.pop()
+    else:
+        tail.append(c)
+    # * w: the start of w may cancel against the end of tail
+    i, n = 0, len(w)
+    while i < n and tail and tail[-1] == w[i] ^ mask:
+        tail.pop()
+        i += 1
+    tail += w[i:] if i else w
+
+
+def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:
+    """The compact ``word`` as a tuple of shared signed letters.
+
+    ``codes`` is the codebook the word was built with, name -> code of the
+    name with exponent +1.
+    """
+    if not word:
+        return EMPTY
+    signed = SIGNED
+    table: dict[int, SignedLetter] = {}
+    for name, code in codes.items():
+        table[code], table[code ^ mask] = signed[name]
+    return tuple(map(table.__getitem__, word))
 
 
 # ---------------------------------------------------------------------------

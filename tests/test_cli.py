@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from test_decide import right_nested
+
 from quandles import decide, isotropy
 from quandles.cli import main
+from quandles.terms import render
 
 
 def run(capsys, *argv):
@@ -46,6 +49,36 @@ def test_eq_stdin_batch(capsys, monkeypatch):
     code, out, _ = run(capsys, "--gens", "2", "eq", "--stdin")
     assert code == 1
     assert out.splitlines() == ["equal", "not-equal"]
+
+
+def test_eq_stdin_gives_each_line_a_slot(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\nx |> \tx\n\ny1\ty1\nno tab\ny1\tx\n"))
+    code, out, err = run(capsys, "--gens", "1", "eq", "--stdin")
+    assert code == 2
+    assert out.splitlines() == ["equal", "error", "equal", "error", "not-equal"]
+    assert err.splitlines() == [
+        "error: line 2: unexpected end of input (at position 5)",
+        "error: line 5: expected two terms separated by a tab",
+    ]
+
+
+def test_eq_stdin_json_marks_malformed_lines(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\nx |> \tx\ny1\ty9\ny1\ty1\n"))
+    code, out, err = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
+    assert code == 2
+    assert not err
+    assert json.loads(out) == {
+        "results": [True, None, None, True],
+        "all_equal": False,
+        "errors": [
+            {"line": 2, "message": "unexpected end of input (at position 5)"},
+            {"line": 3, "message": "generator y9 is out of range for n=1"},
+        ],
+    }
+    # without a malformed line there is no errors list, and exit 0 or 1 as before
+    monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\ny1\tx\n"))
+    code, out, _ = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
+    assert (code, json.loads(out)) == (1, {"results": [True, False], "all_equal": False})
 
 
 def test_nf_output(capsys):
@@ -196,6 +229,15 @@ def test_deep_terms_answer(capsys, theory):
     code, out, _ = run(capsys, "--theory", theory, "--gens", "1", "eq", DEEP_NESTED, "y1")
     expected = (0, "equal") if theory == "quandle" else (1, "not-equal")
     assert (code, out.strip()) == expected
+
+
+@pytest.mark.parametrize("theory, k", [("quandle", 24), ("rack", 25)])
+def test_eq_on_deep_right_nested_terms(capsys, theory, k):
+    t = render(right_nested(k))
+    code, out, _ = run(capsys, "--theory", theory, "--gens", str(k), "eq", t, f"({t}) |> y1 |>~ y1")
+    assert (code, out.strip()) == (0, "equal")
+    code, out, _ = run(capsys, "--theory", theory, "--gens", str(k), "eq", t, render(right_nested(k, -1)))
+    assert (code, out.strip()) == (1, "not-equal")
 
 
 @pytest.mark.parametrize(

@@ -191,7 +191,26 @@ def test_deciders_match_recursive_reference(alphabet_size, data):
     _check_against_reference(data, alphabet_size)
 
 
-@settings(max_examples=10, deadline=None)
+# few examples: each padded walk meets 20,000 names, past two restarts
+@settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_deciders_match_recursive_reference_on_a_wide_alphabet(data):
     _check_against_reference(data, 20000)
+
+
+# --- right-nested terms, whose normal forms double with each level ----------
+
+def right_nested(k, inner_sign=1):
+    """``y1 |> (y2 |> (... |> yk))``, the innermost operation of sign
+    ``inner_sign``; its rack tail has 2^(k-1) - 1 letters."""
+    t = Node(inner_sign, Atom(gen(k - 1)), Atom(gen(k)))
+    for i in range(k - 2, 0, -1):
+        t = Node(1, Atom(gen(i)), t)
+    return t
+
+
+@pytest.mark.parametrize("theory, k", [(QUANDLE, 24), (RACK, 25)])
+def test_deep_right_nested_terms(theory, k):
+    t = right_nested(k)
+    assert decide.term_equal(t, Node(-1, Node(1, t, Atom(gen(1))), Atom(gen(1))), theory)
+    assert not decide.term_equal(t, right_nested(k, inner_sign=-1), theory)

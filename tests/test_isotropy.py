@@ -341,3 +341,14 @@ def test_elem_json_validation():
 def test_unknown_theory_is_rejected(call):
     with pytest.raises(ValueError, match="unknown theory 'bogus'"):
         call()
+
+
+def test_apply_hom_on_a_deep_left_chain():
+    chain = Atom(X)
+    for i in range(3000):
+        chain = Node(1 if i % 3 else -1, chain, Atom(gen(1)))
+    image = isotropy.apply_hom(chain, [q("y2 |> y1")])
+    # Node equality recurses, so the deep result is compared as text
+    assert render(image) == render(chain).replace("y1", "(y2 |> y1)")
+    with pytest.raises(ArityMismatchError):
+        isotropy.apply_hom(chain, [])

@@ -350,6 +350,32 @@ def test_subst_deep_terms():
         assert terms.subst_many(t, {"y2": s}) is t
 
 
+def size_reference(t):
+    """Reference: size by structural recursion."""
+    return 1 if isinstance(t, Atom) else 1 + size_reference(t.left) + size_reference(t.right)
+
+
+def atoms_reference(t):
+    """Reference: atom letters by structural recursion."""
+    return {t.letter} if isinstance(t, Atom) else atoms_reference(t.left) | atoms_reference(t.right)
+
+
+@given(_terms_strategy(letters=("x", "x0", "y1", "y2")))
+def test_size_and_atoms_of_match_reference(t):
+    assert terms.size(t) == size_reference(t)
+    assert terms.atoms_of(t) == atoms_reference(t)
+
+
+def test_size_and_atoms_of_deep_terms():
+    chain, nested = Atom("x"), Atom("x")
+    for i in range(3000):
+        chain = Node(1 if i % 3 else -1, chain, Atom("y1"))
+        nested = Node(1, Atom(f"y{1 + i % 2}"), nested)
+    assert terms.size(chain) == terms.size(nested) == 6001
+    assert terms.atoms_of(chain) == {"x", "y1"}
+    assert terms.atoms_of(nested) == {"x", "y1", "y2"}
+
+
 @given(_terms_strategy(letters=("x", "y1", "y2")))
 def test_subst_keeps_unchanged_subterms(t):
     assert terms.subst(t, Atom("x"), "y3") is t

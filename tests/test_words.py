@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,9 +22,9 @@ def naive_reduce(word):
     return tuple(w)
 
 
-def _signed(letters=("y1", "y2")):
+def _signed(letters=("y1", "y2"), max_size=8):
     return st.lists(
-        st.tuples(st.sampled_from(letters), st.sampled_from((1, -1))), max_size=8
+        st.tuples(st.sampled_from(letters), st.sampled_from((1, -1))), max_size=max_size
     ).map(tuple)
 
 
@@ -87,12 +88,45 @@ def test_group_laws_exhaustive():
         assert words.mul(u, words.inv(u)) == ()
 
 
-@given(st.lists(_signed(letters=("x", "y1", "y2")).map(words.reduce), max_size=5))
-def test_mul_reduced_matches_mul_on_reduced_parts(parts):
-    out = []
-    for part in parts:
-        words.extend_reduced(out, part)
-    assert tuple(out) == words.mul(*parts)
+def _compact(word, codes, width):
+    """``word`` as a compact word, numbering new names from the end of the
+    codebook, so that at the wider widths codes use more than one byte."""
+    new, mask, room = width
+    out = new()
+    for name, e in word:
+        if name not in codes:
+            codes[name] = words.letter_code(room - 1 - len(codes))
+        out.append(codes[name] if e == 1 else codes[name] ^ mask)
+    return out
+
+
+@pytest.mark.parametrize("width", words.WIDTHS)
+@given(
+    _signed(letters=("x", "y1", "y2"), max_size=24).map(words.reduce),
+    _signed(letters=("x", "y1", "y2"), max_size=24).map(words.reduce),
+    st.tuples(st.sampled_from(("x", "y1", "y2")), st.sampled_from((1, -1))),
+)
+def test_conjugate_onto_matches_mul(width, tail, w, signed):
+    codes = {}
+    compact_tail, compact_w = _compact(tail, codes, width), _compact(w, codes, width)
+    (c,) = _compact((signed,), codes, width)
+    mask = width[1]
+    words.conjugate_onto(compact_tail, compact_w, c, mask)
+    assert words.decode(compact_tail, codes, mask) == words.mul(tail, words.inv(w), (signed,), w)
+    assert words.decode(compact_w, codes, mask) == w
+
+
+def test_letter_codes_invert_by_flipping_bit_7_of_every_byte():
+    for new, mask, room in words.WIDTHS:
+        size = memoryview(new()).itemsize
+        for index in (0, 1, 127, room // 2, room - 1):
+            code = words.letter_code(index)
+            assert all(byte < 0x80 for byte in code.to_bytes(size, "little"))
+            word = new()
+            word.append(code)
+            assert bytes(word).translate(words.FLIP) == (code ^ mask).to_bytes(size, sys.byteorder)
+    assert [memoryview(new()).itemsize for new, _, _ in words.WIDTHS] == [1, 2, 4, 8]
+    assert [room for _, _, room in words.WIDTHS] == [2**7, 2**14, 2**28, 2**56]
 
 
 @given(_signed())
