@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, MutableSequence
 
 from .terms import X, check_letter, is_gen, letter_key
@@ -238,7 +239,9 @@ def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:
     table: dict[int, SignedLetter] = {}
     for name, code in codes.items():
         table[code], table[code ^ mask] = signed[name]
-    return tuple(map(table.__getitem__, word))
+    if len(word) == 1:  # itemgetter of one item returns the item itself
+        return (table[word[0]],)
+    return itemgetter(*word)(table)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def _compact(word, codes, width):
     return out
 
 
-@pytest.mark.parametrize("width", words.WIDTHS)
+@pytest.mark.parametrize("width", words.WIDTHS, ids=("1-byte", "2-byte", "4-byte", "8-byte"))
 @given(
     _signed(letters=("x", "y1", "y2"), max_size=24).map(words.reduce),
     _signed(letters=("x", "y1", "y2"), max_size=24).map(words.reduce),
