@@ -187,11 +187,6 @@ def letter_code(index: int) -> int:
     return code
 
 
-# Up to this many letters, inverting one letter at a time is cheaper than
-# the bulk operations.
-_SHORT = 8
-
-
 def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> None:
     """Replace ``tail`` by the reduced product ``tail * w^-1 * c * w``.
 
@@ -204,7 +199,7 @@ def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> None
     while j and tail and tail[-1] == w[j - 1]:
         tail.pop()
         j -= 1
-    if j > _SHORT:
+    if j:
         inverse = bytearray(w[:j] if j < len(w) else w)
         inverse.reverse()  # reverses the elements, and the bytes in each
         inverse = inverse.translate(FLIP)
@@ -212,9 +207,6 @@ def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> None
             inverse = array(tail.typecode, inverse)
             inverse.byteswap()  # puts the bytes of each element back in order
         tail += inverse
-    else:
-        for j in range(j - 1, -1, -1):
-            tail.append(w[j] ^ mask)
     if tail and tail[-1] == c ^ mask:
         tail.pop()
     else:
