@@ -115,9 +115,9 @@ def _padded(t, cover):
     """``t`` with its head atom h replaced by ``(h |> cover) |>~ x``.
 
     The cover equals ``x``, so the replacement is ``(h |> x) |>~ x = h`` by
-    the cancellation axiom, in both theories, and
-    the padded term has the reference key of ``t``.  A left-to-right walk
-    meets every letter of the cover before the right children of ``t``.
+    the cancellation axiom, in both theories, and the padded term has the
+    reference key of ``t``.  A left-to-right walk meets every letter of the
+    cover before the right children of ``t``.
     """
     spine = []
     while isinstance(t, Node):
