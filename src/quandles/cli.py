@@ -48,9 +48,18 @@ def _emit_elem(elem, args) -> None:
 
 def _eq_batch(args) -> int:
     """One slot per non-blank stdin line: the verdict on its tab-separated
-    pair, or an error when the line is malformed.  Exit 2 if any line was."""
-    verdicts: list[bool | None] = []
+    pair, or an error when the line is malformed.  Exit 2 if any line was.
+
+    Under ``--json`` the slots are written as they are decided, into the one
+    document ``{"results": [...], "all_equal": ..., "errors": [...]}``; the
+    errors list closes it, and is left out when no line was malformed.
+    """
+    out = sys.stdout
+    all_equal = True
     errors: list[dict] = []
+    separator = ""
+    if args.json:
+        out.write('{"results": [')
     for lineno, line in enumerate(sys.stdin, start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -62,23 +71,30 @@ def _eq_batch(args) -> int:
             left = _parse_term(left_text, args)
             right = _parse_term(right_text, args)
         except (CliError, ValueError) as exc:
-            verdicts.append(None)
+            all_equal = False
             errors.append({"line": lineno, "message": str(exc)})
-            if not args.json:
+            if args.json:
+                out.write(separator + "null")
+                separator = ", "
+            else:
                 print(f"error: line {lineno}: {exc}", file=sys.stderr)
                 print("error")
             continue
-        verdicts.append(decide.term_equal(left, right, args.theory))
-        if not args.json:
-            print("equal" if verdicts[-1] else "not-equal")
+        equal = decide.term_equal(left, right, args.theory)
+        all_equal = all_equal and equal
+        if args.json:
+            out.write(separator + ("true" if equal else "false"))
+            separator = ", "
+        else:
+            print("equal" if equal else "not-equal")
     if args.json:
-        report = {"results": verdicts, "all_equal": all(verdicts)}
+        out.write(f'], "all_equal": {json.dumps(all_equal)}')
         if errors:
-            report["errors"] = errors
-        print(json.dumps(report))
+            out.write(f', "errors": {json.dumps(errors)}')
+        out.write("}\n")
     if errors:
         return 2
-    return 0 if all(verdicts) else 1
+    return 0 if all_equal else 1
 
 
 def cmd_eq(args) -> int:

@@ -21,6 +21,12 @@ together with the tail stripped of its leading run of the head; two terms
 are equal in the free quandle exactly when these agree.  ``quandle_image``
 spells the conjugate out as a single reduced word, matching the paper's
 direct translation ``s |> t -> T^-1 S T``, ``s |>~ t -> T S T^-1``.
+
+Normal forms can grow exponentially with the depth of a term: the tail of
+``y1 |> (y2 |> (... |> yk))`` has 2^(k-1) - 1 letters.  ``model_keys``
+evaluates the same forms in SL2(F_p) instead, at a bounded cost per node.
+The model is a homomorphic image of the free group, so keys that differ
+there prove the terms unequal; keys that agree prove nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +55,22 @@ class RackNF(NamedTuple):
     tail: GroupWord
 
 
-def _compact_images(terms: Sequence[Term]) -> tuple[dict[str, int], int, list[tuple[str, CompactWord]]]:
+class TailTooLong(Exception):
+    """A capped walk built a tail longer than ``LETTERS_PER_NODE`` letters
+    per node it has met."""
+
+
+# The cap on a tail, in letters per node met, past which a capped walk gives
+# up.  With CPython 3.11 on a 2-CPU x86-64 machine, expanding a tail costs
+# 4 to 8 ns a letter and the model of ``model_keys`` 2 to 3 us a node, so at
+# the cap the two cost about the same, and a decider that switches there
+# spends a small multiple of what the cheaper of the two would.
+LETTERS_PER_NODE = 256
+
+
+def _compact_images(
+    terms: Sequence[Term], capped: bool = False
+) -> tuple[dict[str, int], int, list[tuple[str, CompactWord]]]:
     """The rack normal forms of ``terms`` as heads and compact tails.
 
     A term is a left spine ``((a |>^e1 r1) |>^e2 r2) ... |>^ek rk``: its head
@@ -63,12 +84,16 @@ def _compact_images(terms: Sequence[Term]) -> tuple[dict[str, int], int, list[tu
     they are met.  Returns it, the sign mask of its width and one
     ``(head, tail)`` per term.  The width is the narrowest whose codes
     number every name the terms contain: a walk that meets one name too
-    many starts again at the next width.
+    many starts again at the next width.  A ``capped`` walk raises
+    ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE`` letters per
+    node met so far.
     """
     conjugate_onto = words.conjugate_onto
+    per_node = LETTERS_PER_NODE if capped else None
     for new, mask, room in words.WIDTHS:
         codes: dict[str, int] = {}
         images = []
+        met = 0
         try:
             for t in terms:
                 suspended: list[tuple[str, CompactWord, list[Node], int]] = []
@@ -78,6 +103,7 @@ def _compact_images(terms: Sequence[Term]) -> tuple[dict[str, int], int, list[tu
                         spine.append(t)
                         t = t.left
                     head, tail, k = t.letter, new(), len(spine)
+                    met += k
                     while True:
                         if k:
                             k -= 1
@@ -106,6 +132,8 @@ def _compact_images(terms: Sequence[Term]) -> tuple[dict[str, int], int, list[tu
                             c ^= mask
                         if w:
                             conjugate_onto(tail, w, c, mask)
+                            if per_node is not None and len(tail) > per_node * met:
+                                raise TailTooLong
                         elif tail and tail[-1] == c ^ mask:
                             tail.pop()
                         else:
@@ -130,15 +158,110 @@ def _without_head_run(tail: CompactWord, code: int | None, mask: int) -> Compact
     return tail[i:]
 
 
-def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactWord]]:
+def compact_keys(terms: Sequence[Term], theory: str, capped: bool = False) -> list[tuple[str, CompactWord]]:
     """Keys of ``terms`` over one codebook: two agree exactly when the terms
     are provably equal in ``theory``.  Cheaper than ``normal_form``, since
-    the tails stay compact."""
+    the tails stay compact.  With ``capped``, raises ``TailTooLong`` instead
+    of building a tail longer than ``LETTERS_PER_NODE`` letters per node."""
     check_theory(theory)
-    codes, mask, images = _compact_images(terms)
+    codes, mask, images = _compact_images(terms, capped)
     if theory == RACK:
         return images
     return [(head, _without_head_run(tail, codes.get(head), mask)) for head, tail in images]
+
+
+# --- a model: the rack normal forms evaluated in SL2(F_p) -------------------
+
+MODEL_PRIME = 2**61 - 1
+
+Matrix = tuple[int, int, int, int]  # [[a, b], [c, d]] as (a, b, c, d)
+
+_IDENTITY: Matrix = (1, 0, 0, 1)
+
+
+def _product(m: Matrix, n: Matrix) -> Matrix:
+    a, b, c, d = m
+    e, f, g, h = n
+    p = MODEL_PRIME
+    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+
+def _inverse(m: Matrix) -> Matrix:
+    """The inverse of a matrix of determinant 1: its adjugate."""
+    a, b, c, d = m
+    p = MODEL_PRIME
+    return d, -b % p, -c % p, a
+
+
+def _letter_matrix(i: int) -> Matrix:
+    """``A^i B A^-i`` for Sanov's ``A = [[1, 2], [0, 1]]``, ``B = [[1, 0], [2, 1]]``.
+
+    ``A`` and ``B`` generate a free group, in which these conjugates for
+    i = 0, 1, 2, ... are free generators.
+    """
+    p = MODEL_PRIME
+    return (1 + 4 * i) % p, -8 * i * i % p, 2, (1 - 4 * i) % p
+
+
+class _LetterMatrices(dict):
+    """Letter name -> its matrix and inverse, numbering names as they are
+    first looked up."""
+
+    def __missing__(self, name: str) -> tuple[Matrix, Matrix]:
+        m = _letter_matrix(len(self))
+        self[name] = pair = (m, _inverse(m))
+        return pair
+
+
+def model_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, Matrix] | Matrix]:
+    """Keys of ``terms`` in a finite model: where two differ, the terms are
+    not provably equal in ``theory``.
+
+    Letter names, numbered in the order the walk meets them, go to the
+    matrices of ``_letter_matrix``, and a rack normal form ``(head, tail)``
+    to ``(head, rho(tail))``, with ``rho`` the homomorphism from the free
+    group to SL2(F_p) this defines.  The quandle key is the image of the
+    conjugate ``tail^-1 head tail``.  So terms with equal normal forms have
+    equal keys.  The walk is that of ``_compact_images`` with a matrix for
+    each tail, and a node costs a bounded number of 2x2 products however
+    long its normal form is.
+    """
+    check_theory(theory)
+    letters = _LetterMatrices()
+    keys: list[tuple[str, Matrix] | Matrix] = []
+    for t in terms:
+        suspended: list[tuple[str, Matrix, list[Node], int]] = []
+        while t is not None:
+            spine: list[Node] = []
+            while isinstance(t, Node):
+                spine.append(t)
+                t = t.left
+            head, tail, k = t.letter, _IDENTITY, len(spine)
+            while True:
+                if k:
+                    k -= 1
+                    node = spine[k]
+                    t = node.right
+                    if isinstance(t, Node):
+                        suspended.append((head, tail, spine, k))
+                        break
+                    h, w = t.letter, None
+                elif suspended:
+                    h, w = head, tail
+                    head, tail, spine, k = suspended.pop()
+                    node = spine[k]
+                else:
+                    t = None
+                    break
+                m = letters[h][node.sign < 0]
+                if w is not None:
+                    m = _product(_inverse(w), _product(m, w))
+                tail = _product(tail, m)
+        if theory == RACK:
+            keys.append((head, tail))
+        else:
+            keys.append(_product(_inverse(tail), _product(letters[head][0], tail)))
+    return keys
 
 
 def rack_image(t: Term) -> RackNF:

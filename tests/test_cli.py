@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +216,54 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
 
 
 DEEP_CHAIN = "x" + " |> y1" * 3000
+# stdin -> the report of eq --stdin --json, under --gens 1
+STDIN_BATCHES = {
+    "empty": ("", {"results": [], "all_equal": True}),
+    "all equal": ("x\tx\ny1 |> y1\ty1\n\n(x |> y1) |>~ y1\tx\n", {"results": [True] * 3, "all_equal": True}),
+    "malformed": ("x\tx\nno tab\ny1\tx\n", {
+        "results": [True, None, False],
+        "all_equal": False,
+        "errors": [{"line": 2, "message": "expected two terms separated by a tab"}],
+    }),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(STDIN_BATCHES))
+def test_eq_stdin_json_streams_the_buffered_document(capsys, monkeypatch, batch):
+    text, report = STDIN_BATCHES[batch]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
+    assert out == json.dumps(report) + "\n"
+    assert code == (2 if "errors" in report else 0 if report["all_equal"] else 1)
+
+
+@pytest.mark.parametrize(
+    "test", [test_eq_stdin_batch, test_eq_stdin_gives_each_line_a_slot, test_eq_stdin_json_marks_malformed_lines]
+)
+def test_eq_stdin_answers_short_terms_without_the_model(capsys, monkeypatch, test):
+    def unreachable(terms, theory):
+        raise AssertionError("the model was asked about short terms")
+
+    monkeypatch.setattr(decide, "model_keys", unreachable)
+    test(capsys, monkeypatch)
+
+
+def _cap_address_space():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+
+def test_eq_past_the_expansion_wall_in_a_process():
+    # at k = 65 a full rack normal form would have 2^64 - 1 letters; a
+    # program that tries to build it fails here, within the time and memory caps
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = ["--theory", "rack", "--gens", "65", "eq", render(right_nested(65)), render(right_nested(65, -1))]
+    proc = subprocess.run([sys.executable, "-m", "quandles", *argv], capture_output=True, text=True,
+                          env=env, timeout=10, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "not-equal\n", "")
+
+
 DEEP_PARENS = "(" * 3000 + "x |> y1" + ")" * 3000
 DEEP_NESTED = "y1 |> (" * 2999 + "y1 |> y1" + ")" * 2999
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,3 +215,83 @@ def test_deep_right_nested_terms(theory, k):
     t = right_nested(k)
     assert decide.term_equal(t, Node(-1, Node(1, t, Atom(gen(1))), Atom(gen(1))), theory)
     assert not decide.term_equal(t, right_nested(k, inner_sign=-1), theory)
+
+
+# --- the model in SL2(F_p), and the deciders' stop ---------------------------
+
+SMALL_TERMS = list(enumerate_terms((X, gen(1), gen(2)), 5))
+
+
+@pytest.mark.parametrize("theory", [QUANDLE, RACK])
+def test_model_separates_exactly_the_unequal_small_terms(theory):
+    # one walk numbers the letters of every term alike
+    model = translate.model_keys(SMALL_TERMS, theory)
+    pairs = {(translate.normal_form(t, theory), m) for t, m in zip(SMALL_TERMS, model)}
+    assert len(SMALL_TERMS) == 237
+    assert len({key for key, _ in pairs}) == len(pairs) == len({m for _, m in pairs})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_axiom_steps_keep_the_model_key(data):
+    theory = data.draw(st.sampled_from((QUANDLE, RACK)))
+    t = data.draw(_balanced_terms(ALPHABETS[4], max_leaves=12))
+    for _, u in rewrite.rewrite_steps(t, theory):
+        key_t, key_u = translate.model_keys((t, u), theory)
+        assert key_t == key_u
+
+
+def test_rack_model_tells_a_self_operation_from_its_atom():
+    s, t = q("y1 |> y1", 1), q("y1", 1)
+    key_s, key_t = translate.model_keys((s, t), RACK)
+    assert key_s != key_t
+    key_s, key_t = translate.model_keys((s, t), QUANDLE)
+    assert key_s == key_t
+
+
+def test_the_stop_hands_over_to_the_model(monkeypatch):
+    calls = []
+
+    def counted(terms, theory):
+        calls.append(theory)
+        return translate.model_keys(terms, theory)
+
+    monkeypatch.setattr(decide, "model_keys", counted)
+    s, t = q("x |> (y1 |> y2)"), q("x |> (y1 |>~ y2)")
+    assert not decide.rack_equal(s, t)
+    assert not calls  # a tail of one letter per node is under the cap
+    monkeypatch.setattr(translate, "LETTERS_PER_NODE", 0)
+    assert not decide.rack_equal(s, t)
+    assert decide.quandle_equal(s, Node(1, s, s))
+    assert calls == [RACK, QUANDLE]
+
+
+# every call on a term with a composite right child takes the model path
+@pytest.mark.parametrize("alphabet_size", [4, 200])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_deciders_through_the_model_match_recursive_reference(alphabet_size, data):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(translate, "LETTERS_PER_NODE", 0)
+        _check_against_reference(data, alphabet_size)
+
+
+@pytest.mark.parametrize("theory, k", [(QUANDLE, 24), (RACK, 25)])
+def test_deep_terms_when_the_model_always_agrees(monkeypatch, theory, k):
+    # "equal" and "not-equal" then both come from the full normal forms
+    monkeypatch.setattr(decide, "model_keys", lambda terms, theory: [None] * len(terms))
+    test_deep_right_nested_terms(theory, k)
+
+
+@pytest.mark.parametrize("theory, k", [(QUANDLE, 32), (QUANDLE, 64), (RACK, 33), (RACK, 65)])
+def test_near_misses_past_the_expansion_wall(monkeypatch, theory, k):
+    # a full normal form here has at least 2^31 letters: fail, not build it
+    def capped_only(terms, theory, capped=False):
+        assert capped, "the full normal forms were built"
+        return translate.compact_keys(terms, theory, capped)
+
+    monkeypatch.setattr(decide, "compact_keys", capped_only)
+    s, t = right_nested(k), right_nested(k, inner_sign=-1)
+    start = time.perf_counter()
+    assert not decide.term_equal(s, t, theory)
+    assert time.perf_counter() - start < 0.1
