@@ -71,22 +71,18 @@ def _eq_batch(args) -> int:
             left = _parse_term(left_text, args)
             right = _parse_term(right_text, args)
         except (CliError, ValueError) as exc:
-            all_equal = False
+            equal = None
             errors.append({"line": lineno, "message": str(exc)})
-            if args.json:
-                out.write(separator + "null")
-                separator = ", "
-            else:
+            if not args.json:
                 print(f"error: line {lineno}: {exc}", file=sys.stderr)
-                print("error")
-            continue
-        equal = decide.term_equal(left, right, args.theory)
-        all_equal = all_equal and equal
+        else:
+            equal = decide.term_equal(left, right, args.theory)
+        all_equal = all_equal and bool(equal)
         if args.json:
-            out.write(separator + ("true" if equal else "false"))
+            out.write(separator + json.dumps(equal))
             separator = ", "
         else:
-            print("equal" if equal else "not-equal")
+            print("error" if equal is None else "equal" if equal else "not-equal")
     if args.json:
         out.write(f'], "all_equal": {json.dumps(all_equal)}')
         if errors:
