@@ -52,42 +52,48 @@ def _eq_batch(args) -> int:
 
     Under ``--json`` the slots are written as they are decided, into the one
     document ``{"results": [...], "all_equal": ..., "errors": [...]}``; the
-    errors list closes it, and is left out when no line was malformed.
+    errors list closes it, and is left out when no line was malformed.  An
+    internal error stops the batch at its line, but the document is still
+    closed, with ``all_equal`` false, before ``main`` reports the error.
     """
     out = sys.stdout
     all_equal = True
+    finished = False
     errors: list[dict] = []
     separator = ""
     if args.json:
         out.write('{"results": [')
-    for lineno, line in enumerate(sys.stdin, start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        try:
-            if "\t" not in line:
-                raise CliError("expected two terms separated by a tab")
-            left_text, right_text = line.split("\t", 1)
-            left = _parse_term(left_text, args)
-            right = _parse_term(right_text, args)
-        except (CliError, ValueError) as exc:
-            equal = None
-            errors.append({"line": lineno, "message": str(exc)})
-            if not args.json:
-                print(f"error: line {lineno}: {exc}", file=sys.stderr)
-        else:
-            equal = decide.term_equal(left, right, args.theory)
-        all_equal = all_equal and bool(equal)
+    try:
+        for lineno, line in enumerate(sys.stdin, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            try:
+                if "\t" not in line:
+                    raise CliError("expected two terms separated by a tab")
+                left_text, right_text = line.split("\t", 1)
+                left = _parse_term(left_text, args)
+                right = _parse_term(right_text, args)
+            except (CliError, ValueError) as exc:
+                equal = None
+                errors.append({"line": lineno, "message": str(exc)})
+                if not args.json:
+                    print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            else:
+                equal = decide.term_equal(left, right, args.theory)
+            all_equal = all_equal and bool(equal)
+            if args.json:
+                out.write(separator + json.dumps(equal))
+                separator = ", "
+            else:
+                print("error" if equal is None else "equal" if equal else "not-equal")
+        finished = True
+    finally:
         if args.json:
-            out.write(separator + json.dumps(equal))
-            separator = ", "
-        else:
-            print("error" if equal is None else "equal" if equal else "not-equal")
-    if args.json:
-        out.write(f'], "all_equal": {json.dumps(all_equal)}')
-        if errors:
-            out.write(f', "errors": {json.dumps(errors)}')
-        out.write("}\n")
+            out.write(f'], "all_equal": {json.dumps(all_equal and finished)}')
+            if errors:
+                out.write(f', "errors": {json.dumps(errors)}')
+            out.write("}\n")
     if errors:
         return 2
     return 0 if all_equal else 1

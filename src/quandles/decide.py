@@ -2,20 +2,23 @@
 
 The deciders compare the keys of ``translate.normal_form``: equality in the
 free rack holds exactly when the rack normal forms agree, equality in the
-free quandle exactly when their quandle quotients do.  The keys are compared
-as compact words (``translate.compact_keys``), built for both terms over one
-codebook and never decoded.
+free quandle exactly when their quandle quotients do.  The keys are first
+compared as compact words (``translate.compact_keys``), built for both terms
+over one codebook and never decoded.
 
-A normal form can be exponentially longer than its term.  So the keys are
-first built under a cap on their length per node; past it, the terms are
-compared in a finite model (``translate.model_keys``), where keys that
-differ prove the terms unequal.  Only when the model keys agree are the full
-normal forms built and compared, so "equal" always rests on them.  The
-deciders are total over any alphabet, including the auxiliary constants.
+A normal form can be exponentially longer than its term, so the compact
+keys give up once a tail outgrows a cap on its length per node.  Past it,
+the terms are compared in a finite model (``translate.model_keys``), a fast
+filter: keys that differ there prove the terms unequal.  When the model keys
+agree, the normal forms are compared compressed (``compressed.compressed_keys``),
+at a cost polynomial in the size of the terms, so "equal" always rests on the
+normal forms themselves.  The deciders are total over any alphabet, including
+the auxiliary constants.
 """
 
 from __future__ import annotations
 
+from .compressed import compressed_keys
 from .terms import Term
 from .translate import QUANDLE, RACK, THEORIES, TailTooLong, compact_keys, model_keys
 
@@ -24,12 +27,12 @@ __all__ = ["QUANDLE", "RACK", "THEORIES", "quandle_equal", "rack_equal", "term_e
 
 def _equal(s: Term, t: Term, theory: str) -> bool:
     try:
-        key_s, key_t = compact_keys((s, t), theory, capped=True)
+        key_s, key_t = compact_keys((s, t), theory)
     except TailTooLong:
         key_s, key_t = model_keys((s, t), theory)
         if key_s != key_t:
             return False
-        key_s, key_t = compact_keys((s, t), theory)
+        key_s, key_t = compressed_keys((s, t), theory)
     return key_s == key_t
 
 

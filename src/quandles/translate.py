@@ -23,10 +23,15 @@ spells the conjugate out as a single reduced word, matching the paper's
 direct translation ``s |> t -> T^-1 S T``, ``s |>~ t -> T S T^-1``.
 
 Normal forms can grow exponentially with the depth of a term: the tail of
-``y1 |> (y2 |> (... |> yk))`` has 2^(k-1) - 1 letters.  ``model_keys``
-evaluates the same forms in SL2(F_p) instead, at a bounded cost per node.
-The model is a homomorphic image of the free group, so keys that differ
-there prove the terms unequal; keys that agree prove nothing.
+``y1 |> (y2 |> (... |> yk))`` has 2^(k-1) - 1 letters.  So ``compact_keys``
+gives up on a tail past a cap, and the deciders turn to two other forms of
+the same normal forms.  ``model_keys`` evaluates them in SL2(F_p), at a
+bounded cost per node: the model is a homomorphic image of the free group,
+so keys that differ there prove the terms unequal, while keys that agree
+prove nothing.  ``compressed.compressed_keys`` keeps them compressed, at a
+cost polynomial in the size of the terms, and its keys agree exactly when
+the normal forms do; "equal" past the cap rests on them.  ``rack_image``,
+``normal_form`` and ``quandle_image`` always expand.
 """
 
 from __future__ import annotations
@@ -64,7 +69,10 @@ class TailTooLong(Exception):
 # up.  With CPython 3.11 on a 2-CPU x86-64 machine, expanding a tail costs
 # 4 to 8 ns a letter and the model of ``model_keys`` 2 to 3 us a node, so at
 # the cap the two cost about the same, and a decider that switches there
-# spends a small multiple of what the cheaper of the two would.
+# spends a small multiple of what the cheaper of the two would on "not-equal".
+# "Equal" past the cap costs the compressed forms 0.3 to 2 ms a node, more
+# than expanding would just past the cap, but that cost no longer doubles
+# with each level of nesting.
 LETTERS_PER_NODE = 256
 
 
@@ -158,13 +166,13 @@ def _without_head_run(tail: CompactWord, code: int | None, mask: int) -> Compact
     return tail[i:]
 
 
-def compact_keys(terms: Sequence[Term], theory: str, capped: bool = False) -> list[tuple[str, CompactWord]]:
+def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactWord]]:
     """Keys of ``terms`` over one codebook: two agree exactly when the terms
     are provably equal in ``theory``.  Cheaper than ``normal_form``, since
-    the tails stay compact.  With ``capped``, raises ``TailTooLong`` instead
-    of building a tail longer than ``LETTERS_PER_NODE`` letters per node."""
+    the tails stay compact.  Raises ``TailTooLong`` instead of building a
+    tail longer than ``LETTERS_PER_NODE`` letters per node."""
     check_theory(theory)
-    codes, mask, images = _compact_images(terms, capped)
+    codes, mask, images = _compact_images(terms, capped=True)
     if theory == RACK:
         return images
     return [(head, _without_head_run(tail, codes.get(head), mask)) for head, tail in images]

@@ -248,6 +248,26 @@ def test_eq_stdin_answers_short_terms_without_the_model(capsys, monkeypatch, tes
     test(capsys, monkeypatch)
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_eq_stdin_internal_error_stops_the_batch(capsys, monkeypatch, json_mode):
+    decided = decide.term_equal
+
+    def fails_on_line_2(s, t, theory):
+        if render(s) == "y1":
+            raise RuntimeError("boom")
+        return decided(s, t, theory)
+
+    monkeypatch.setattr(decide, "term_equal", fails_on_line_2)
+    monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\ny1\ty1\ny1 |> y1\ty1\n"))
+    code, out, err = run(capsys, "--gens", "1", *(["--json"] if json_mode else []), "eq", "--stdin")
+    assert code == 3
+    assert err == "internal error: RuntimeError: boom\n"
+    if json_mode:
+        assert json.loads(out) == {"results": [True], "all_equal": False}
+    else:
+        assert out == "equal\n"
+
+
 def _cap_address_space():
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
@@ -258,10 +278,20 @@ def test_eq_past_the_expansion_wall_in_a_process():
     # program that tries to build it fails here, within the time and memory caps
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    argv = ["--theory", "rack", "--gens", "65", "eq", render(right_nested(65)), render(right_nested(65, -1))]
-    proc = subprocess.run([sys.executable, "-m", "quandles", *argv], capture_output=True, text=True,
-                          env=env, timeout=10, preexec_fn=_cap_address_space)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "not-equal\n", "")
+
+    def quandles(*argv, stdin=None):
+        proc = subprocess.run([sys.executable, "-m", "quandles", *argv], capture_output=True, text=True,
+                              input=stdin, env=env, timeout=10, preexec_fn=_cap_address_space)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    near_miss = render(right_nested(65)), render(right_nested(65, -1))
+    assert quandles("--theory", "rack", "--gens", "65", "eq", *near_miss) == (1, "not-equal\n", "")
+    # at k = 40 a full quandle normal form would have 2^40 - 1 letters
+    t = render(right_nested(40))
+    equal = t, f"({t}) |> y1 |>~ y1"
+    assert quandles("--gens", "64", "eq", *equal) == (0, "equal\n", "")
+    batch = f"y1\ty1\n{equal[0]}\t{equal[1]}\ny1\ty2\n"
+    assert quandles("--gens", "64", "eq", "--stdin", stdin=batch) == (1, "equal\nequal\nnot-equal\n", "")
 
 
 DEEP_PARENS = "(" * 3000 + "x |> y1" + ")" * 3000

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_translate import recursive_rack_image
 
-from quandles import decide, rewrite, translate
+from quandles import compressed, decide, rewrite, translate, words
 from quandles.decide import QUANDLE, RACK
 from quandles.terms import X, Atom, Node, enumerate_terms, gen, parse, random_term
 
@@ -278,20 +278,142 @@ def test_deciders_through_the_model_match_recursive_reference(alphabet_size, dat
 
 @pytest.mark.parametrize("theory, k", [(QUANDLE, 24), (RACK, 25)])
 def test_deep_terms_when_the_model_always_agrees(monkeypatch, theory, k):
-    # "equal" and "not-equal" then both come from the full normal forms
+    # "equal" and "not-equal" then both come from the compressed normal forms
     monkeypatch.setattr(decide, "model_keys", lambda terms, theory: [None] * len(terms))
     test_deep_right_nested_terms(theory, k)
 
 
+def _forbid_the_uncapped_walk(monkeypatch):
+    # a full normal form past the wall has at least 2^31 letters: fail, not build it
+    walk = translate._compact_images
+
+    def capped_only(terms, capped=False):
+        assert capped, "the full normal forms were built"
+        return walk(terms, capped)
+
+    monkeypatch.setattr(translate, "_compact_images", capped_only)
+
+
 @pytest.mark.parametrize("theory, k", [(QUANDLE, 32), (QUANDLE, 64), (RACK, 33), (RACK, 65)])
 def test_near_misses_past_the_expansion_wall(monkeypatch, theory, k):
-    # a full normal form here has at least 2^31 letters: fail, not build it
-    def capped_only(terms, theory, capped=False):
-        assert capped, "the full normal forms were built"
-        return translate.compact_keys(terms, theory, capped)
-
-    monkeypatch.setattr(decide, "compact_keys", capped_only)
+    _forbid_the_uncapped_walk(monkeypatch)
     s, t = right_nested(k), right_nested(k, inner_sign=-1)
     start = time.perf_counter()
     assert not decide.term_equal(s, t, theory)
     assert time.perf_counter() - start < 0.1
+
+
+# --- compressed normal forms ---------------------------------------------------
+
+def _uncancelled(t, rng):
+    """``t`` with a random subterm ``s`` replaced by ``(s |>~e b) |>e b``:
+    a cancellation step backwards, which ``rewrite_steps`` leaves out."""
+    above = []
+    while isinstance(t, Node) and rng.random() < 0.8:
+        side = rng.randint(0, 1)
+        above.append((t, side))
+        t = t.right if side else t.left
+    e, b = rng.choice((1, -1)), Atom(gen(rng.randint(1, 3)))
+    t = Node(e, Node(-e, t, b), b)
+    for node, side in reversed(above):
+        t = Node(node.sign, node.left, t) if side else Node(node.sign, t, node.right)
+    return t
+
+
+def _rewritten(t, theory, rng, steps):
+    """``t`` after ``steps`` random axiom steps, in either direction."""
+    for _ in range(steps):
+        neighbours = rewrite.rewrite_steps(t, theory)
+        t = rng.choice(neighbours)[1] if neighbours and rng.random() < 0.7 else _uncancelled(t, rng)
+    return t
+
+
+@pytest.mark.parametrize(
+    "theory, k", [(QUANDLE, 40), (QUANDLE, 56), (QUANDLE, 64), (RACK, 41), (RACK, 57), (RACK, 65)]
+)
+def test_equal_past_the_expansion_wall(monkeypatch, theory, k):
+    _forbid_the_uncapped_walk(monkeypatch)
+    t = right_nested(k)
+    rng = random.Random(f"{theory}-{k}")
+    cancelled = Node(-1, Node(1, t, Atom(gen(1))), Atom(gen(1)))
+    for u in (cancelled, _rewritten(t, theory, rng, rng.randint(2, 5))):
+        assert decide.term_equal(t, u, theory)
+        assert decide.term_equal(u, t, theory)
+
+
+@pytest.mark.parametrize("theory", [QUANDLE, RACK])
+def test_compressed_keys_match_the_expanded_ones(theory):
+    rng = random.Random(theory)
+    for k in range(2, 19):
+        t = right_nested(k)
+        u = _rewritten(t, theory, rng, rng.randint(1, 5))
+        near_miss = _rewritten(right_nested(k, inner_sign=-1), theory, rng, rng.randint(1, 5))
+        for v in (u, near_miss):
+            key_t, key_v = compressed.compressed_keys((t, v), theory)
+            expanded = translate.normal_form(t, theory) == translate.normal_form(v, theory)
+            assert (key_t == key_v) == expanded
+        assert key_t != key_v
+
+
+# every pair is decided by the compressed keys
+@pytest.mark.parametrize("alphabet_size", [4, 200])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_deciders_through_the_compressed_keys_match_recursive_reference(alphabet_size, data):
+    def stop(terms, theory):
+        raise translate.TailTooLong
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decide, "compact_keys", stop)
+        patch.setattr(decide, "model_keys", lambda terms, theory: [None] * len(terms))
+        _check_against_reference(data, alphabet_size)
+
+
+def _spelled(table, word):
+    """The compressed ``word``, built letter by letter."""
+    built = compressed.EMPTY
+    for name, exponent in word:
+        built = table.product(built, table.letter(name, exponent))
+    return built
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compressed_words_are_canonical(data):
+    # a word built letter by letter has the top of the one the walk built
+    t = data.draw(_balanced_terms(ALPHABETS[4]))
+    table = compressed.Table()
+    ((head, tail),) = table.images([t])
+    spelled = table.expand(tail[0])
+    assert (head, spelled) == translate.rack_image(t)
+    assert table.expand(tail[1]) == words.inv(spelled)
+    assert _spelled(table, spelled) == tail
+
+
+runs = st.lists(st.tuples(st.sampled_from((gen(1), gen(2))), st.sampled_from((1, -1)), st.integers(1, 6)), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(left=runs, right=runs, letter=st.sampled_from((gen(1), gen(2))), i=st.integers(1, 9), j=st.integers(1, 9))
+def test_compressed_products_cancel_runs(left, right, letter, i, j):
+    # u * v with u ending in letter^i and v starting in letter^-j
+    u = words.mul(*(words.run(name, e * k) for name, e, k in left), words.run(letter, i))
+    v = words.mul(words.run(letter, -j), *(words.run(name, e * k) for name, e, k in right))
+    table = compressed.Table()
+    product = table.product(_spelled(table, u), _spelled(table, v))
+    assert table.expand(product[0]) == words.mul(u, v)
+    assert product == _spelled(table, words.mul(u, v))
+
+
+def test_compressed_keys_of_a_deep_left_chain():
+    # no recursion over the term and no hashing of its nodes
+    rng = random.Random(3)
+    letters = (gen(1), gen(2), gen(3))
+    t = run = Atom(gen(1))
+    for _ in range(3000):
+        t = Node(rng.choice((1, -1)), t, Atom(rng.choice(letters)))
+        run = Node(1, run, Atom(gen(1)))
+    table = compressed.Table()
+    for u, (head, tail) in zip((t, run), table.images([t, run])):
+        assert (head, table.expand(tail[0])) == translate.normal_form(u, RACK)
+        assert (head, table.expand(table.without_head_run(tail, head))) == translate.normal_form(u, QUANDLE)
