@@ -15,9 +15,10 @@ symbol ``(base, count)`` one level up; an odd level, where no two neighbours
 are equal, is cut into blocks, each starting at the first position or at a
 local minimum of a hashed priority of ``(level, symbol)``, and each block
 becomes a symbol one level up.  A local minimum has larger neighbours on both
-sides, so no two are adjacent and a block step at least halves a word of two
-or more symbols; the first level of a single symbol is the top.  Symbols are
-keyed with their level, so equal keys are equal strings at equal levels.
+sides, so no two are adjacent, and since the last position is never cut, a
+block step leaves at most half of a word of two or more symbols, rounded up.
+The first level of a single symbol is the top.  Symbols are keyed with their
+level, so equal keys are equal strings at equal levels.
 
 Whether a position is cut depends on its neighbours only, so the hierarchy
 of a concatenation differs from those of its parts only near the seam.  A
@@ -118,10 +119,6 @@ class Table:
         top = self._join(self._prefix(x, kept_x), self._suffix(y, n))
         inverse = self._join(self._prefix(y_inv, kept_y), self._suffix(x_inv, n))
         return top, inverse
-
-    def conjugate(self, w: Word, c: Word) -> Word:
-        """The reduced ``w^-1 * c * w``."""
-        return self.product(self.product((w[1], w[0]), c), w)
 
     def without_head_run(self, w: Word, name: str) -> int:
         """The top of ``w`` less its leading run of ``name`` (either sign).
@@ -366,9 +363,9 @@ class Table:
                 if number is None:
                     head, tail = images[left]
                     h, w = images[right]
-                    c = self.letter(h, u.sign)
+                    conjugate = self.product(self.product((w[1], w[0]), self.letter(h, u.sign)), w)
                     number = by_node[key] = len(images)
-                    images.append((head, self.product(tail, self.conjugate(w, c))))
+                    images.append((head, self.product(tail, conjugate)))
                 numbered[id(u)] = number
             out.append(images[numbered[id(t)]])
         return out

@@ -18,7 +18,6 @@ the auxiliary constants.
 
 from __future__ import annotations
 
-from .compressed import compressed_keys
 from .terms import Term
 from .translate import QUANDLE, RACK, THEORIES, TailTooLong, compact_keys, model_keys
 
@@ -32,6 +31,10 @@ def _equal(s: Term, t: Term, theory: str) -> bool:
         key_s, key_t = model_keys((s, t), theory)
         if key_s != key_t:
             return False
+        # imported here, as few calls get this far: a start without a
+        # bytecode cache compiles every module it imports, about 6 ms for this one
+        from .compressed import compressed_keys
+
         key_s, key_t = compressed_keys((s, t), theory)
     return key_s == key_t
 

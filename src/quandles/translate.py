@@ -70,9 +70,9 @@ class TailTooLong(Exception):
 # 4 to 8 ns a letter and the model of ``model_keys`` 2 to 3 us a node, so at
 # the cap the two cost about the same, and a decider that switches there
 # spends a small multiple of what the cheaper of the two would on "not-equal".
-# "Equal" past the cap costs the compressed forms 0.3 to 2 ms a node, more
-# than expanding would just past the cap, but that cost no longer doubles
-# with each level of nesting.
+# "Equal" past the cap costs the compressed forms 0.5 to 3 ms a node, up to
+# 20 times what expanding would cost just past the cap, but that cost no
+# longer doubles with each level of nesting.
 LETTERS_PER_NODE = 256
 
 

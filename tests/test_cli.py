@@ -248,8 +248,8 @@ def test_eq_stdin_answers_short_terms_without_the_model(capsys, monkeypatch, tes
     test(capsys, monkeypatch)
 
 
-@pytest.mark.parametrize("json_mode", [False, True])
-def test_eq_stdin_internal_error_stops_the_batch(capsys, monkeypatch, json_mode):
+@pytest.mark.parametrize("mode", ["text", "json"])
+def test_eq_stdin_internal_error_stops_the_batch(capsys, monkeypatch, mode):
     decided = decide.term_equal
 
     def fails_on_line_2(s, t, theory):
@@ -259,10 +259,10 @@ def test_eq_stdin_internal_error_stops_the_batch(capsys, monkeypatch, json_mode)
 
     monkeypatch.setattr(decide, "term_equal", fails_on_line_2)
     monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\ny1\ty1\ny1 |> y1\ty1\n"))
-    code, out, err = run(capsys, "--gens", "1", *(["--json"] if json_mode else []), "eq", "--stdin")
+    code, out, err = run(capsys, "--gens", "1", *(["--json"] if mode == "json" else []), "eq", "--stdin")
     assert code == 3
     assert err == "internal error: RuntimeError: boom\n"
-    if json_mode:
+    if mode == "json":
         assert json.loads(out) == {"results": [True], "all_equal": False}
     else:
         assert out == "equal\n"
