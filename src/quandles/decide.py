@@ -31,8 +31,9 @@ def _equal(s: Term, t: Term, theory: str) -> bool:
         key_s, key_t = model_keys((s, t), theory)
         if key_s != key_t:
             return False
-        # imported here, as few calls get this far: a start without a
-        # bytecode cache compiles every module it imports, about 6 ms for this one
+        # imported here, as few calls get this far: a start without a bytecode
+        # cache compiles every module it imports, this one in about 6 ms
+        # (CPython 3.11, 2-CPU x86-64)
         from .compressed import compressed_keys
 
         key_s, key_t = compressed_keys((s, t), theory)
