@@ -29,17 +29,17 @@ and ``B`` that the seam does not reach, re-parsing a window of a few symbols
 per level.  A hierarchy is not the mirror image of its inverse's, so every
 word is carried as the pair of its top and its inverse's top.
 
-Nothing is cached between calls, and no term is hashed: the walk numbers the
-subterms of all the terms it is given by ``(sign, left, right)`` numbers, so
-a subterm that occurs twice is translated once.
+The normal forms are built by ``translate.fold`` in the group of these
+words: ``Table.product`` multiplies, and swapping the pair inverts.  Nothing
+is cached between calls.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .terms import Node, Term
-from .translate import QUANDLE, check_theory
+from .terms import Term
+from .translate import QUANDLE, check_theory, fold
 from .words import GroupWord, SignedLetter
 
 Entry = tuple[int, int]  # a symbol and a repeat count
@@ -320,56 +320,6 @@ class Table:
         key = (level, *symbols)
         return self._symbol(key, level, tuple((s, 1) for s in symbols)), 1
 
-    # --- normal forms ----------------------------------------------------
-
-    def images(self, terms: Sequence[Term]) -> list[tuple[str, Word]]:
-        """The rack normal forms ``(head, tail)`` of ``terms``.
-
-        ``s |>^e t`` goes to ``(head(s), tail(s) * tail(t)^-1 * head(t)^e *
-        tail(t))``.  The walk is a loop over an explicit stack; it numbers
-        every subterm by ``(sign, left, right)``, so structurally equal
-        subterms, within a term or across terms, share one image.
-        """
-        numbered: dict[int, int] = {}  # id() of a subterm -> its number
-        by_letter: dict[str, int] = {}
-        by_node: dict[tuple[int, int, int], int] = {}
-        images: list[tuple[str, Word]] = []
-        out = []
-        for t in terms:
-            todo: list[Term] = [t]
-            while todo:
-                u = todo[-1]
-                if id(u) in numbered:
-                    todo.pop()
-                    continue
-                if not isinstance(u, Node):
-                    todo.pop()
-                    number = by_letter.get(u.letter)
-                    if number is None:
-                        number = by_letter[u.letter] = len(images)
-                        images.append((u.letter, EMPTY))
-                    numbered[id(u)] = number
-                    continue
-                left, right = numbered.get(id(u.left)), numbered.get(id(u.right))
-                if left is None or right is None:
-                    if right is None:
-                        todo.append(u.right)
-                    if left is None:
-                        todo.append(u.left)
-                    continue
-                todo.pop()
-                key = (u.sign, left, right)
-                number = by_node.get(key)
-                if number is None:
-                    head, tail = images[left]
-                    h, w = images[right]
-                    conjugate = self.product(self.product((w[1], w[0]), self.letter(h, u.sign)), w)
-                    number = by_node[key] = len(images)
-                    images.append((head, self.product(tail, conjugate)))
-                numbered[id(u)] = number
-            out.append(images[numbered[id(t)]])
-        return out
-
 
 def compressed_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, int]]:
     """Keys of ``terms`` that agree exactly when the terms are provably equal
@@ -377,7 +327,7 @@ def compressed_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, int]]
     for quandles with the tail less its leading run of the head."""
     check_theory(theory)
     table = Table()
-    images = table.images(terms)
+    images = fold(terms, EMPTY, table.letter, table.product, lambda w: (w[1], w[0]))
     if theory == QUANDLE:
         return [(head, table.without_head_run(tail, head)) for head, tail in images]
     return [(head, tail[0]) for head, tail in images]

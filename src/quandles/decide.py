@@ -12,8 +12,9 @@ the terms are compared in a finite model (``translate.model_keys``), a fast
 filter: keys that differ there prove the terms unequal.  When the model keys
 agree, the normal forms are compared compressed (``compressed.compressed_keys``),
 at a cost polynomial in the size of the terms, so "equal" always rests on the
-normal forms themselves.  The deciders are total over any alphabet, including
-the auxiliary constants.
+normal forms themselves.  Both are one fold (``translate.fold``) over two
+groups, which translates each distinct subterm of the pair once.  The
+deciders are total over any alphabet, including the auxiliary constants.
 """
 
 from __future__ import annotations

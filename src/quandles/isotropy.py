@@ -43,7 +43,8 @@ class ArityMismatchError(ValueError):
 
 
 def _check_canonical_word(word: GroupWord) -> None:
-    if not all(is_gen(l) and e in (1, -1) for l, e in word):
+    # a generator spelled as the term parser spells it: y1, not y01 or y0
+    if not all(is_gen(l) and l[1] != "0" and e in (1, -1) for l, e in word):
         raise ValueError(f"canonical word must use generator letters only: {word}")
     if not words.is_reduced(word):
         raise ValueError(f"canonical word must be reduced: {word}")

@@ -199,7 +199,7 @@ def _require_at_least(low: int, **bounds: int) -> None:
 def suite_axioms(seed: int, samples: int, max_size: int, n: int) -> SuiteReport:
     """Every axiom instance is decided equal by its own theory's decider;
     idempotence instances are decided not-equal by the rack decider."""
-    _require_at_least(1, samples=samples, n=n)
+    _require_at_least(1, samples=samples, max_size=max_size, n=n)
     report = SuiteReport("axioms")
     rng = random.Random(seed)
     alphabet = standard_alphabet(n, include_x=False)

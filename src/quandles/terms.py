@@ -394,16 +394,10 @@ def enumerate_terms(alphabet: Iterable[str], max_size: int) -> Iterator[Term]:
         yield from terms_of(k)
 
 
-def count_terms(alphabet_size: int, max_size: int) -> int:
-    """How many terms ``enumerate_terms`` yields, via the size recurrence."""
-    counts = {1: alphabet_size}
-    for k in range(3, max_size + 1, 2):
-        counts[k] = sum(2 * counts[i] * counts[k - 1 - i] for i in range(1, k - 1, 2))
-    return sum(c for k, c in counts.items() if k <= max_size)
-
-
 def random_term(rng: random.Random, alphabet: tuple[str, ...], max_size: int) -> Term:
     """A random term of odd size <= max_size (uniform size, then structure)."""
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
     sizes = list(range(1, max_size + 1, 2))
     return _random_term_of_size(rng, alphabet, rng.choice(sizes))
 

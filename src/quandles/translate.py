@@ -6,12 +6,12 @@ and a reduced word: atoms go to ``(atom, e)``; ``s |>^eps t`` goes to
 ``(head(S), tail(S) * tail(T)^-1 * head(T)^eps * tail(T))``.  The head is
 always the leftmost atom of the term.  Two terms are equal in the free rack
 exactly when both components agree.  The translation is computed without
-recursion: it walks each left spine down to its head atom and folds the
-spine's right children into the tail bottom-up, keeping the spines that
-wait for a composite right child on an explicit stack.  Tails are built as
-compact words (see ``words``), one integer code per signed letter over a
-codebook of the call's own; the deciders compare them as they are, and
-``rack_image`` and ``normal_form`` decode them into tuples of signed letters.
+recursion, by one of two walks.  ``_compact_images``, the hot path, builds
+tails in place as compact words (see ``words``), one integer code per signed
+letter over a codebook of the call's own; the deciders compare them as they
+are, and ``rack_image`` and ``normal_form`` decode them into tuples of
+signed letters.  ``fold`` builds tails in any group given by its operations,
+translating each distinct subterm once; the keys past the wall below use it.
 
 The free-quandle normal form is a quotient of the rack one.  A term stands
 for the conjugate ``tail^-1 head tail``, and since the centraliser of a letter
@@ -25,18 +25,18 @@ direct translation ``s |> t -> T^-1 S T``, ``s |>~ t -> T S T^-1``.
 Normal forms can grow exponentially with the depth of a term: the tail of
 ``y1 |> (y2 |> (... |> yk))`` has 2^(k-1) - 1 letters.  So ``compact_keys``
 gives up on a tail past a cap, and the deciders turn to two other forms of
-the same normal forms.  ``model_keys`` evaluates them in SL2(F_p), at a
-bounded cost per node: the model is a homomorphic image of the free group,
-so keys that differ there prove the terms unequal, while keys that agree
-prove nothing.  ``compressed.compressed_keys`` keeps them compressed, at a
-cost polynomial in the size of the terms, and its keys agree exactly when
-the normal forms do; "equal" past the cap rests on them.  ``rack_image``,
-``normal_form`` and ``quandle_image`` always expand.
+the same normal forms, both folds.  ``model_keys`` evaluates them in
+SL2(F_p), at a bounded cost per node: the model is a homomorphic image of
+the free group, so keys that differ there prove the terms unequal, while
+keys that agree prove nothing.  ``compressed.compressed_keys`` keeps them
+compressed, at a cost polynomial in the size of the terms, and its keys
+agree exactly when the normal forms do; "equal" past the cap rests on them.
+``rack_image``, ``normal_form`` and ``quandle_image`` always expand.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from . import words
 from .terms import Node, Term
@@ -45,6 +45,8 @@ from .words import CompactWord, GroupWord
 QUANDLE = "quandle"
 RACK = "rack"
 THEORIES = (QUANDLE, RACK)
+
+G = TypeVar("G")  # an element of the group that ``fold`` builds tails in
 
 
 def check_theory(theory: str) -> None:
@@ -178,6 +180,59 @@ def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactW
     return [(head, _without_head_run(tail, codes.get(head), mask)) for head, tail in images]
 
 
+def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],
+         product: Callable[[G, G], G], inverse: Callable[[G], G]) -> list[tuple[str, G]]:
+    """The rack normal forms ``(head, tail)`` of ``terms``, with each tail an
+    element of a group given by its identity ``one``, the image
+    ``letter(name, sign)`` of a signed letter, and its ``product`` and
+    ``inverse``.
+
+    An atom goes to ``(atom, one)`` and ``s |>^e t`` to ``(head(s), tail(s) *
+    tail(t)^-1 * head(t)^e * tail(t))``.  The walk is a loop over an explicit
+    stack; it numbers every subterm by ``(sign, left, right)``, so
+    structurally equal subterms, within a term or across terms, share one
+    image, and no term is hashed.
+    """
+    numbered: dict[int, int] = {}  # id() of a subterm -> its number
+    shared: dict[str | tuple[int, int, int], int] = {}  # letter or (sign, left, right) -> number
+    images: list[tuple[str, G]] = []
+    out = []
+    for t in terms:
+        todo: list[Term] = [t]
+        while todo:
+            u = todo[-1]
+            if id(u) in numbered:
+                todo.pop()
+                continue
+            if isinstance(u, Node):
+                left, right = numbered.get(id(u.left)), numbered.get(id(u.right))
+                if left is None or right is None:
+                    if right is None:
+                        todo.append(u.right)
+                    if left is None:
+                        todo.append(u.left)
+                    continue
+                key = (u.sign, left, right)
+            else:
+                key = u.letter
+            todo.pop()
+            number = shared.get(key)
+            if number is None:
+                number = shared[key] = len(images)
+                if isinstance(u, Node):
+                    head, tail = images[left]
+                    h, w = images[right]
+                    c = letter(h, u.sign)
+                    if w is not one:  # an atom's tail: conjugating by it is two products for nothing
+                        c = product(product(inverse(w), c), w)
+                    images.append((head, product(tail, c)))
+                else:
+                    images.append((key, one))
+            numbered[id(u)] = number
+        out.append(images[numbered[id(t)]])
+    return out
+
+
 # --- a model: the rack normal forms evaluated in SL2(F_p) -------------------
 
 MODEL_PRIME = 2**61 - 1
@@ -225,51 +280,20 @@ def model_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, Matrix] | 
     """Keys of ``terms`` in a finite model: where two differ, the terms are
     not provably equal in ``theory``.
 
-    Letter names, numbered in the order the walk meets them, go to the
-    matrices of ``_letter_matrix``, and a rack normal form ``(head, tail)``
-    to ``(head, rho(tail))``, with ``rho`` the homomorphism from the free
-    group to SL2(F_p) this defines.  The quandle key is the image of the
-    conjugate ``tail^-1 head tail``.  So terms with equal normal forms have
-    equal keys.  The walk is that of ``_compact_images`` with a matrix for
-    each tail, and a node costs a bounded number of 2x2 products however
-    long its normal form is.
+    Letter names, numbered in the order ``fold`` first asks for them, go to
+    the matrices of ``_letter_matrix``, and a rack normal form
+    ``(head, tail)`` to ``(head, rho(tail))``, with ``rho`` the homomorphism
+    from the free group to SL2(F_p) this defines.  The quandle key is the
+    image of the conjugate ``tail^-1 head tail``.  So terms with equal normal
+    forms have equal keys, and a node costs a bounded number of 2x2 products
+    however long its normal form is.
     """
     check_theory(theory)
     letters = _LetterMatrices()
-    keys: list[tuple[str, Matrix] | Matrix] = []
-    for t in terms:
-        suspended: list[tuple[str, Matrix, list[Node], int]] = []
-        while t is not None:
-            spine: list[Node] = []
-            while isinstance(t, Node):
-                spine.append(t)
-                t = t.left
-            head, tail, k = t.letter, _IDENTITY, len(spine)
-            while True:
-                if k:
-                    k -= 1
-                    node = spine[k]
-                    t = node.right
-                    if isinstance(t, Node):
-                        suspended.append((head, tail, spine, k))
-                        break
-                    h, w = t.letter, None
-                elif suspended:
-                    h, w = head, tail
-                    head, tail, spine, k = suspended.pop()
-                    node = spine[k]
-                else:
-                    t = None
-                    break
-                m = letters[h][node.sign < 0]
-                if w is not None:
-                    m = _product(_inverse(w), _product(m, w))
-                tail = _product(tail, m)
-        if theory == RACK:
-            keys.append((head, tail))
-        else:
-            keys.append(_product(_inverse(tail), _product(letters[head][0], tail)))
-    return keys
+    images = fold(terms, _IDENTITY, lambda name, sign: letters[name][sign < 0], _product, _inverse)
+    if theory == RACK:
+        return images
+    return [_product(_inverse(tail), _product(letters[head][0], tail)) for head, tail in images]
 
 
 def rack_image(t: Term) -> RackNF:

@@ -20,7 +20,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, MutableSequence
 
-from .terms import X, check_letter, is_gen, letter_key
+from .terms import X, check_letter, gen, gen_index, is_gen, letter_key
 
 SignedLetter = tuple[str, int]
 GroupWord = tuple[SignedLetter, ...]
@@ -281,9 +281,11 @@ def from_json(data: object, generators_only: bool = False) -> GroupWord:
         l, e = entry
         if not isinstance(l, str) or e not in (1, -1):
             raise ValueError(f"bad word entry {entry!r}")
-        if generators_only and not is_gen(l):
+        if is_gen(l):
+            l = gen(gen_index(l))  # as the term parser reads it: y01 is y1, y0 is rejected
+        elif generators_only:
             raise ValueError(f"expected a generator letter, got {l!r}")
-        elif not generators_only and not (l in (X, "x0", "x1") or is_gen(l)):
+        elif l not in (X, "x0", "x1"):
             raise ValueError(f"unknown letter {l!r}")
         out.append((l, e))
     return tuple(out)

@@ -196,6 +196,11 @@ def test_verify_rejects_zero_samples(capsys):
     assert "samples" in err
 
 
+def test_verify_rejects_max_size_below_one(capsys):
+    code, out, err = run(capsys, "verify", "axioms", "--max-size", "0")
+    assert (code, out, err) == (2, "", "error: max_size must be >= 1, got 0\n")
+
+
 def test_verify_rejects_zero_generators(capsys):
     code, out, err = run(capsys, "verify", "axioms", "--n", "0")
     assert code == 2
@@ -376,3 +381,17 @@ def test_verify_inner_with_fewer_than_two_generators(capsys, theory, n):
     code, out, err = run(capsys, "--theory", theory, "verify", "inner", "--n", n)
     assert (code, err) == (0, "")
     assert "witnesses induce the same images" in out
+
+
+def test_element_generators_are_read_as_the_term_parser_reads_them(capsys):
+    # y0 is no generator, so it must not reach images[-1]; y01 is y1
+    y0 = json.dumps({"theory": "quandle", "word": [["y0", 1]]})
+    code, out, err = run(capsys, "--gens", "2", "apply", y0, "x", "--images", "y1", "y2")
+    assert (code, out) == (2, "")
+    assert "generator index must be >= 1, got 0" in err
+    y01, y1_inv = ({"theory": "quandle", "word": [[name, e]]} for name, e in (("y01", 1), ("y1", -1)))
+    assert run(capsys, "--gens", "1", "mul", json.dumps(y01), json.dumps(y1_inv)) == (0, "word: e\n", "")
+    with pytest.raises(ValueError, match="generator letters only"):
+        isotropy.QuandleElem((("y01", 1),))
+    with pytest.raises(ValueError, match="generator letters only"):
+        isotropy.RackElem(0, (("y0", 1),))

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -367,6 +370,24 @@ def test_deciders_through_the_compressed_keys_match_recursive_reference(alphabet
         _check_against_reference(data, alphabet_size)
 
 
+def test_deciding_under_the_cap_leaves_the_compressed_forms_unimported():
+    # a start without a bytecode cache compiles every module it imports
+    program = (
+        "import sys, quandles\n"
+        "s, t = quandles.parse('(x |> y1) |>~ y1', 1), quandles.parse('x', 1)\n"
+        "print(quandles.quandle_equal(s, t), 'quandles.compressed' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(compressed.__file__)))
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True False\n", "")
+
+
+def _compressed_images(table, terms):
+    """The rack normal forms of ``terms`` as compressed words of ``table``."""
+    return translate.fold(terms, compressed.EMPTY, table.letter, table.product, lambda w: (w[1], w[0]))
+
+
 def _spelled(table, word):
     """The compressed ``word``, built letter by letter."""
     built = compressed.EMPTY
@@ -381,7 +402,7 @@ def test_compressed_words_are_canonical(data):
     # a word built letter by letter has the top of the one the walk built
     t = data.draw(_balanced_terms(ALPHABETS[4]))
     table = compressed.Table()
-    ((head, tail),) = table.images([t])
+    ((head, tail),) = _compressed_images(table, [t])
     spelled = table.expand(tail[0])
     assert (head, spelled) == translate.rack_image(t)
     assert table.expand(tail[1]) == words.inv(spelled)
@@ -412,6 +433,6 @@ def test_compressed_keys_of_a_deep_left_chain():
         sign, letter = (1, gen(1)) if i < 1000 else (rng.choice((1, -1)), gen(rng.randint(1, 3)))
         t = Node(sign, t, Atom(letter))
     table = compressed.Table()
-    ((head, tail),) = table.images([t])
+    ((head, tail),) = _compressed_images(table, [t])
     assert (head, table.expand(tail[0])) == translate.normal_form(t, RACK)
     assert (head, table.expand(table.without_head_run(tail, head))) == translate.normal_form(t, QUANDLE)

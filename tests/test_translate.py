@@ -66,6 +66,41 @@ def test_rack_image_matches_recursive_translation_random(t):
     assert translate.rack_image(t) == recursive_rack_image(t)
 
 
+@given(st.lists(_terms(letters=(X, X0, gen(1), gen(2), gen(3))), min_size=1, max_size=4))
+def test_fold_over_group_words_matches_recursive_translation(ts):
+    # a third group, beside the compact and the compressed words
+    images = translate.fold(ts, words.EMPTY, words.letter, words.mul, words.inv)
+    assert images == [recursive_rack_image(t) for t in ts]
+
+
+def _right_nested(k):
+    t = Atom(gen(k))
+    for i in range(k - 1, 0, -1):
+        t = Node(1, Atom(gen(i)), t)
+    return t
+
+
+def test_fold_translates_each_distinct_subterm_once():
+    # the second term of the pair is built apart from the first, but all of
+    # it except its two outer nodes is the first again; a node costs at most
+    # three products
+    t, u = _right_nested(10), Node(-1, Node(1, _right_nested(10), Atom(gen(1))), Atom(gen(1)))
+
+    def products(terms):
+        calls = []
+
+        def product(a, b):
+            calls.append((a, b))
+            return words.mul(a, b)
+
+        translate.fold(terms, words.EMPTY, words.letter, product, words.inv)
+        return len(calls)
+
+    alone = products([t])
+    assert 9 <= alone <= 3 * 9
+    assert products([t, u]) - alone <= 3 * 2
+
+
 def test_rack_image_of_deep_terms():
     chain = Atom(X)
     spelled = []
