@@ -177,25 +177,29 @@ def cmd_inner_check(args) -> int:
     return 0
 
 
+# verify's bound flags, each with the suite bound it sets
+BOUND_FLAGS = {
+    "--samples": "samples",
+    "--max-size": "max_size",
+    "--steps": "max_steps",
+    "--max-len": "max_len",
+    "--max-z": "max_z",
+    "--word-len": "word_len",
+    "--n": "n",
+}
+
+
 def cmd_verify(args) -> int:
     suite = suites.SUITES.get(args.suite)
     if suite is None:
         raise CliError(f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITE_NAMES)}")
-    provided = {
-        "samples": args.samples,
-        "max_size": args.max_size,
-        "max_steps": args.steps,
-        "max_len": args.max_len,
-        "max_z": args.max_z,
-        "word_len": args.word_len,
-        "n": args.n,
-    }
     bounds = {}
-    for key, value in provided.items():
+    for flag, key in BOUND_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))  # the dest argparse gives the flag
         if value is None:
             continue
         if key not in suite.bounds:
-            raise CliError(f"option --{key.replace('_', '-')} does not apply to suite {args.suite!r}")
+            raise CliError(f"option {flag} does not apply to suite {args.suite!r}")
         bounds[key] = value
     report = suites.run_suite(args.suite, theory=args.theory, seed=args.seed, **bounds)
     if args.json:
@@ -259,13 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", metavar="SUITE",
                    help=f"one of: {', '.join(suites.SUITE_NAMES)}")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--max-size", type=int, default=None, dest="max_size")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None, dest="max_len")
-    p.add_argument("--max-z", type=int, default=None, dest="max_z")
-    p.add_argument("--word-len", type=int, default=None, dest="word_len")
-    p.add_argument("--n", type=int, default=None, help="generator count of the sweep")
+    for flag, key in BOUND_FLAGS.items():
+        p.add_argument(flag, type=int, default=None,
+                       help="generator count of the sweep" if flag == "--n" else None)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -83,11 +83,8 @@ RACK_IDENTITY = RackElem()
 def element(theory: str, z: int, word: GroupWord) -> Elem:
     """The element of ``theory`` with self-application count ``z`` and the
     reduced generator word ``word``; quandles forget ``z``."""
-    if theory == RACK:
-        return RackElem(z, word)
-    if theory == QUANDLE:
-        return QuandleElem(word)
-    raise ValueError(f"unknown theory {theory!r}")
+    check_theory(theory)
+    return RackElem(z, word) if theory == RACK else QuandleElem(word)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +289,7 @@ def elem_from_json(data: object) -> Elem:
     z = data.get("z", 0)
     if not isinstance(z, int) or isinstance(z, bool):
         raise ValueError(f"z must be an integer, got {z!r}")
-    return element(theory, z, words.reduce(words.from_json(data.get("word", []), generators_only=True)))
+    return element(theory, z, words.reduce(words.from_json(data.get("word", []))))
 
 
 def elem_to_text(a: Elem) -> str:

@@ -127,10 +127,6 @@ def rewrite_closure(
 
 @dataclass
 class CrossValidationReport:
-    theory: str
-    alphabet: tuple[str, ...]
-    max_size: int
-    max_steps: int
     terms_checked: int = 0
     pairs_checked: int = 0
     violations: list[tuple[str, str]] = field(default_factory=list)
@@ -140,37 +136,6 @@ class CrossValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_text(self) -> str:
-        lines = [
-            f"cross-validate theory={self.theory} alphabet={','.join(self.alphabet)} "
-            f"max_size={self.max_size} max_steps={self.max_steps}",
-            f"terms: {self.terms_checked}",
-            f"rewrite pairs checked: {self.pairs_checked}",
-            f"violations: {len(self.violations)}",
-        ]
-        for s, t in self.violations:
-            lines.append(f"  DISAGREE: {s}  ~rewrite~  {t}  but decider says not equal")
-        lines.append(
-            f"decider-equal pairs within enumeration: {self.equal_pairs} "
-            f"({self.connected_pairs} connected by bounded rewriting; informational)"
-        )
-        lines.append("result: " + ("ok" if self.ok else "VIOLATIONS FOUND"))
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "theory": self.theory,
-            "alphabet": list(self.alphabet),
-            "max_size": self.max_size,
-            "max_steps": self.max_steps,
-            "terms_checked": self.terms_checked,
-            "pairs_checked": self.pairs_checked,
-            "violations": [list(v) for v in self.violations],
-            "equal_pairs": self.equal_pairs,
-            "connected_pairs": self.connected_pairs,
-            "ok": self.ok,
-        }
 
 
 def cross_validate(
@@ -182,7 +147,7 @@ def cross_validate(
     soundness half).  Additionally counts how many decider-equal pairs within
     the enumeration the bounded search managed to connect.
     """
-    report = CrossValidationReport(theory, tuple(alphabet), max_size, max_steps)
+    report = CrossValidationReport()
     universe = list(enumerate_terms(alphabet, max_size))
     report.terms_checked = len(universe)
     closures: dict[Term, set[Term]] = {}

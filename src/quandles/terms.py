@@ -72,22 +72,6 @@ def letter_key(letter: str) -> tuple[int, int]:
     return (3, gen_index(letter))
 
 
-def check_letter(letter: str, n: int, allow_aux: bool = True) -> None:
-    """Raise unless ``letter`` is valid for an alphabet with n generators."""
-    if letter == X:
-        return
-    if letter in (X0, X1):
-        if not allow_aux:
-            raise ValueError(f"auxiliary atom {letter!r} not allowed here")
-        return
-    if is_gen(letter):
-        i = gen_index(letter)
-        if not 1 <= i <= n:
-            raise UnknownGeneratorError(i, n)
-        return
-    raise ValueError(f"unknown letter {letter!r}")
-
-
 def standard_alphabet(n: int, include_x: bool = True) -> tuple[str, ...]:
     letters: list[str] = []
     if include_x:

@@ -20,7 +20,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, MutableSequence
 
-from .terms import X, check_letter, gen, gen_index, is_gen, letter_key
+from .terms import gen, gen_index, is_gen, letter_key
 
 SignedLetter = tuple[str, int]
 GroupWord = tuple[SignedLetter, ...]
@@ -237,8 +237,9 @@ def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax: space-separated tokens "y1", "y1^-1", "x", "x^-1"; the
-# empty word is spelled "e".  JSON form: [[letter, exponent], ...].
+# Concrete syntax, written only: space-separated tokens "y1", "y1^-1", "x",
+# "x^-1"; the empty word is spelled "e".  JSON form: [[letter, exponent], ...],
+# written for any word and read back for generator words only.
 # ---------------------------------------------------------------------------
 
 def render(word: GroupWord) -> str:
@@ -247,31 +248,12 @@ def render(word: GroupWord) -> str:
     return " ".join(l if e == 1 else f"{l}^-1" for l, e in word)
 
 
-def parse(text: str, n: int | None = None) -> GroupWord:
-    text = text.strip()
-    if text == "e" or not text:
-        return EMPTY
-    out: list[SignedLetter] = []
-    for token in text.split():
-        if token.endswith("^-1"):
-            name, e = token[:-3], -1
-        elif token.endswith("^1"):
-            name, e = token[:-2], 1
-        else:
-            name, e = token, 1
-        if n is not None:
-            check_letter(name, n)
-        elif not (name in (X, "x0", "x1") or is_gen(name)):
-            raise ValueError(f"bad word token {token!r}")
-        out.append((name, e))
-    return tuple(out)
-
-
 def to_json(word: GroupWord) -> list[list]:
     return [[l, e] for l, e in word]
 
 
-def from_json(data: object, generators_only: bool = False) -> GroupWord:
+def from_json(data: object) -> GroupWord:
+    """Read a JSON word whose letters are generators only."""
     if not isinstance(data, list):
         raise ValueError("word must be a JSON array of [letter, exponent] pairs")
     out: list[SignedLetter] = []
@@ -281,13 +263,9 @@ def from_json(data: object, generators_only: bool = False) -> GroupWord:
         l, e = entry
         if not isinstance(l, str) or e not in (1, -1):
             raise ValueError(f"bad word entry {entry!r}")
-        if is_gen(l):
-            l = gen(gen_index(l))  # as the term parser reads it: y01 is y1, y0 is rejected
-        elif generators_only:
+        if not is_gen(l):
             raise ValueError(f"expected a generator letter, got {l!r}")
-        elif l not in (X, "x0", "x1"):
-            raise ValueError(f"unknown letter {l!r}")
-        out.append((l, e))
+        out.append((gen(gen_index(l)), e))  # as the term parser reads it: y01 is y1, y0 is rejected
     return tuple(out)
 
 

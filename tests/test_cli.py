@@ -182,6 +182,12 @@ def test_verify_rejects_inapplicable_bound(capsys):
     assert "does not apply" in err
 
 
+def test_verify_rejection_names_the_flag_given(capsys):
+    code, _, err = run(capsys, "verify", "axioms", "--steps", "2")
+    assert code == 2
+    assert "option --steps does not apply" in err
+
+
 def test_no_aux_flag(capsys):
     code, out, _ = run(capsys, "--gens", "0", "eq", "x0", "x0")
     assert code == 0

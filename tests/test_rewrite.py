@@ -94,12 +94,11 @@ def test_cross_validate_rack_over_x():
     assert not decide.rack_equal(Node(1, Atom("x"), Atom("x")), Atom("x"))
 
 
-def test_cross_validate_deterministic_and_serializable():
+def test_cross_validate_deterministic():
     a = rewrite.cross_validate(RACK, (gen(1), gen(2)), 3, 2)
     b = rewrite.cross_validate(RACK, (gen(1), gen(2)), 3, 2)
-    assert a.to_json() == b.to_json()
-    assert "violations: 0" in a.to_text()
-    assert a.to_json()["ok"] is True
+    assert a == b
+    assert a.ok
 
 
 def _replace_at_reference(t, path, new):
