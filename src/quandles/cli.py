@@ -9,8 +9,10 @@ that would check nothing), 3 for an internal error, which is never a verdict.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
+from typing import Iterator
 
 from . import decide, isotropy, suites, translate, words
 from .decide import QUANDLE, RACK
@@ -46,54 +48,102 @@ def _emit_elem(elem, args) -> None:
         print(isotropy.elem_to_text(elem))
 
 
+# what a slot of eq --stdin reads, by verdict (None: a malformed line)
+TEXT_SLOTS = {True: "equal\n", False: "not-equal\n", None: "error\n"}
+JSON_SLOTS = {True: "true", False: "false", None: "null"}
+CHUNK_BYTES = 1 << 16
+
+
+def stdin_chunks(stream) -> Iterator[list[str]]:
+    """The lines of ``stream`` without their ``"\\n"``, one list per read.
+
+    Lines end at ``"\\n"`` alone, as when iterating over ``sys.stdin`` on
+    POSIX: ``"\\r"``, ``"\\x0c"``, ``"\\x85"`` and the like stay inside their
+    line.  When the stream has a binary ``buffer`` with ``read1``, each list
+    holds the complete lines of what one read returned, decoded with the
+    stream's encoding and error handler; ``read1`` blocks only when no input
+    is waiting, and a line cut by a read is finished by the next.  Any other
+    text stream (``io.StringIO``) is read one line at a time.
+    """
+    read1 = getattr(getattr(stream, "buffer", None), "read1", None)
+    if read1 is None:
+        for line in stream:
+            yield [line[:-1] if line.endswith("\n") else line]
+        return
+    decoder = codecs.getincrementaldecoder(stream.encoding)(stream.errors)
+    held: list[str] = []  # the start of a line that has not ended yet
+    while True:
+        data = read1(CHUNK_BYTES)
+        text = decoder.decode(data, not data)
+        held.append(text)
+        if data and "\n" not in text:
+            continue
+        lines = "".join(held).split("\n")
+        held = [lines.pop()]
+        if not data:
+            if held[0]:
+                lines.append(held[0])
+            if lines:
+                yield lines
+            return
+        yield lines
+
+
 def _eq_batch(args) -> int:
     """One slot per non-blank stdin line: the verdict on its tab-separated
     pair, or an error when the line is malformed.  Exit 2 if any line was.
 
-    Under ``--json`` the slots are written as they are decided, into the one
-    document ``{"results": [...], "all_equal": ..., "errors": [...]}``; the
-    errors list closes it, and is left out when no line was malformed.  An
-    internal error stops the batch at its line, but the document is still
+    Whatever one read of stdin returns (``stdin_chunks``) is decided, and its
+    slots are written and flushed at once, before stdin is read again; so a
+    client that writes a line and waits for its answer gets it.  Under
+    ``--json`` the slots go into the one document ``{"results": [...],
+    "all_equal": ..., "errors": [...]}``; the errors list closes it, and is
+    left out when no line was malformed.  An internal error stops the batch
+    at its line, but the slots before it are still written and the document
     closed, with ``all_equal`` false, before ``main`` reports the error.
     """
     out = sys.stdout
+    slots, comma = (JSON_SLOTS, ", ") if args.json else (TEXT_SLOTS, "")
     all_equal = True
     finished = False
     errors: list[dict] = []
+    pending = ['{"results": ['] if args.json else []  # written once per chunk
     separator = ""
-    if args.json:
-        out.write('{"results": [')
+    lineno = 0
     try:
-        for lineno, line in enumerate(sys.stdin, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                if "\t" not in line:
-                    raise CliError("expected two terms separated by a tab")
-                left_text, right_text = line.split("\t", 1)
-                left = _parse_term(left_text, args)
-                right = _parse_term(right_text, args)
-            except (CliError, ValueError) as exc:
-                equal = None
-                errors.append({"line": lineno, "message": str(exc)})
-                if not args.json:
-                    print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            else:
-                equal = decide.term_equal(left, right, args.theory)
-            all_equal = all_equal and bool(equal)
-            if args.json:
-                out.write(separator + json.dumps(equal))
-                separator = ", "
-            else:
-                print("error" if equal is None else "equal" if equal else "not-equal")
+        for lines in stdin_chunks(sys.stdin):
+            for line in lines:
+                lineno += 1
+                if not line.strip():
+                    continue
+                try:
+                    if "\t" not in line:
+                        raise CliError("expected two terms separated by a tab")
+                    left_text, right_text = line.split("\t", 1)
+                    left = _parse_term(left_text, args)
+                    right = _parse_term(right_text, args)
+                except (CliError, ValueError) as exc:
+                    equal = None
+                    errors.append({"line": lineno, "message": str(exc)})
+                    if not args.json:
+                        print(f"error: line {lineno}: {exc}", file=sys.stderr)
+                else:
+                    equal = decide.term_equal(left, right, args.theory)
+                if not equal:
+                    all_equal = False
+                pending.append(separator + slots[equal])
+                separator = comma
+            out.write("".join(pending))
+            out.flush()
+            pending.clear()
         finished = True
     finally:
         if args.json:
-            out.write(f'], "all_equal": {json.dumps(all_equal and finished)}')
+            pending.append(f'], "all_equal": {JSON_SLOTS[all_equal and finished]}')
             if errors:
-                out.write(f', "errors": {json.dumps(errors)}')
-            out.write("}\n")
+                pending.append(f', "errors": {json.dumps(errors)}')
+            pending.append("}\n")
+        out.write("".join(pending))
     if errors:
         return 2
     return 0 if all_equal else 1

@@ -13,6 +13,7 @@ strings; structural equality of letters is string equality.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -260,7 +261,11 @@ def _build(tokens: list[str], n: int, allow_aux: bool) -> Term:
         if factor is None:
             if tok[0] not in "xy":
                 raise _Malformed(f"expected an atom or '(', got {_OP_NAMES.get(tok, tok)!r}", i - 1)
-            factor = atoms[tok] = _atom(tok, n, allow_aux, i - 1)
+            try:
+                factor = atoms[tok] = _atom(tok, n, allow_aux)
+            except _Malformed as exc:
+                exc.index = i - 1
+                raise
         # a factor is complete: attach it, then close parentheses until an
         # operator or the end
         while True:
@@ -282,23 +287,29 @@ def _build(tokens: list[str], n: int, allow_aux: bool) -> Term:
             left, sign = stack.pop()
 
 
-def _atom(tok: str, n: int, allow_aux: bool, index: int) -> Atom:
-    """Validate one atom token; ``y`` indices are normalised (``y01`` is ``y1``)."""
+@functools.lru_cache(maxsize=1024)
+def _atom(tok: str, n: int, allow_aux: bool) -> Atom:
+    """Validate one atom token; ``y`` indices are normalised (``y01`` is ``y1``).
+
+    The last 1024 atoms that passed are remembered, keyed by all that the
+    check reads; an error is raised anew each time, with index -1 for the
+    caller to set.
+    """
     if tok == X:
         return Atom(X)
     if tok in (X0, X1):
         if not allow_aux:
-            raise _Malformed(f"auxiliary atom {tok!r} not allowed", index)
+            raise _Malformed(f"auxiliary atom {tok!r} not allowed", -1)
         return Atom(tok)
     if tok[0] == "y" and len(tok) > 1:
         try:
             i = int(tok[1:])
         except ValueError:  # more digits than int() converts
-            raise _Malformed(f"generator index of {len(tok) - 1} digits is too long", index) from None
+            raise _Malformed(f"generator index of {len(tok) - 1} digits is too long", -1) from None
         if not 1 <= i <= n:
             raise UnknownGeneratorError(i, n)
         return Atom(gen(i))
-    raise _Malformed(f"bad atom {tok!r}", index)
+    raise _Malformed(f"bad atom {tok!r}", -1)
 
 
 def _located_tokens(text: str) -> tuple[list[str], list[int]]:
@@ -329,9 +340,11 @@ def parse(text: str, n: int, allow_aux: bool = True) -> Term:
 
     One regular-expression scan splits the text into tokens and one loop
     with an explicit stack builds the term, so nesting has no depth limit.
-    Each distinct atom is checked once per call.  A character that starts no
-    token is reported before any other error, wherever it is; the offsets of
-    an error are worked out only once the text is known to be malformed.
+    An atom spelling that passed its check is remembered across calls (for
+    the same ``n`` and ``allow_aux``), so it is checked once, not once per
+    call.  A character that starts no token is reported before any other
+    error, wherever it is; the offsets of an error are worked out only once
+    the text is known to be malformed.
     """
     try:
         return _build(_TOKEN.findall(text), n, allow_aux)

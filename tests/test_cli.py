@@ -2,6 +2,7 @@ import io
 import json
 import os
 import resource
+import select
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 from test_decide import right_nested
 
 from quandles import decide, isotropy
-from quandles.cli import main
+from quandles.cli import main, stdin_chunks
 from quandles.terms import render
 
 
@@ -48,41 +49,139 @@ def test_eq_json(capsys):
     assert json.loads(out) == {"equal": True}
 
 
+def buffered_stdin(text):
+    """A stdin like the real one: text over a binary buffer that has ``read1``."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", errors="surrogateescape")
+
+
+# the two kinds of stdin eq --stdin reads: line by line, and a chunk per read
+STDINS = (io.StringIO, buffered_stdin)
+
+
 def test_eq_stdin_batch(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("y1 |> y1\ty1\ny1\ty2\n"))
-    code, out, _ = run(capsys, "--gens", "2", "eq", "--stdin")
-    assert code == 1
-    assert out.splitlines() == ["equal", "not-equal"]
+    for stdin in STDINS:
+        monkeypatch.setattr("sys.stdin", stdin("y1 |> y1\ty1\ny1\ty2\n"))
+        code, out, _ = run(capsys, "--gens", "2", "eq", "--stdin")
+        assert code == 1
+        assert out.splitlines() == ["equal", "not-equal"]
 
 
 def test_eq_stdin_gives_each_line_a_slot(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\nx |> \tx\n\ny1\ty1\nno tab\ny1\tx\n"))
-    code, out, err = run(capsys, "--gens", "1", "eq", "--stdin")
-    assert code == 2
-    assert out.splitlines() == ["equal", "error", "equal", "error", "not-equal"]
-    assert err.splitlines() == [
-        "error: line 2: unexpected end of input (at position 5)",
-        "error: line 5: expected two terms separated by a tab",
-    ]
+    for stdin in STDINS:
+        monkeypatch.setattr("sys.stdin", stdin("x\tx\nx |> \tx\n\ny1\ty1\nno tab\ny1\tx\n"))
+        code, out, err = run(capsys, "--gens", "1", "eq", "--stdin")
+        assert code == 2
+        assert out.splitlines() == ["equal", "error", "equal", "error", "not-equal"]
+        assert err.splitlines() == [
+            "error: line 2: unexpected end of input (at position 5)",
+            "error: line 5: expected two terms separated by a tab",
+        ]
 
 
 def test_eq_stdin_json_marks_malformed_lines(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\nx |> \tx\ny1\ty9\ny1\ty1\n"))
-    code, out, err = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
-    assert code == 2
-    assert not err
-    assert json.loads(out) == {
-        "results": [True, None, None, True],
-        "all_equal": False,
-        "errors": [
-            {"line": 2, "message": "unexpected end of input (at position 5)"},
-            {"line": 3, "message": "generator y9 is out of range for n=1"},
-        ],
-    }
-    # without a malformed line there is no errors list, and exit 0 or 1 as before
-    monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\ny1\tx\n"))
-    code, out, _ = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
-    assert (code, json.loads(out)) == (1, {"results": [True, False], "all_equal": False})
+    for stdin in STDINS:
+        monkeypatch.setattr("sys.stdin", stdin("x\tx\nx |> \tx\ny1\ty9\ny1\ty1\n"))
+        code, out, err = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
+        assert code == 2
+        assert not err
+        assert json.loads(out) == {
+            "results": [True, None, None, True],
+            "all_equal": False,
+            "errors": [
+                {"line": 2, "message": "unexpected end of input (at position 5)"},
+                {"line": 3, "message": "generator y9 is out of range for n=1"},
+            ],
+        }
+        # without a malformed line there is no errors list, and exit 0 or 1 as before
+        monkeypatch.setattr("sys.stdin", stdin("x\tx\ny1\tx\n"))
+        code, out, _ = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
+        assert (code, json.loads(out)) == (1, {"results": [True, False], "all_equal": False})
+
+
+class Trickle(io.RawIOBase):
+    """Raw bytes handed out 1 to 7 at a time, in a fixed cycle from ``phase``."""
+
+    def __init__(self, data, phase):
+        self.data, self.at, self.reads = data, 0, phase
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        self.reads += 1
+        k = min(len(buffer), 1 + self.reads % 7, len(self.data) - self.at)
+        buffer[:k] = self.data[self.at:self.at + k]
+        self.at += k
+        return k
+
+
+READER_INPUTS = {
+    "line ends": b"a\r\nb\rc\x0bd\x0ce\x1cf\n" + "g\x85h\u2028i\r\n\r\n".encode(),
+    "invalid utf-8": b"x\xff\xfey\n\xc3\n\xe2\x82\tz\n\xf0\x9d",
+    "multibyte": "\u00e9\u20ac\U0001d11e\n".encode() * 5 + "\t\u20ac\r\n".encode() * 5,
+    "no final newline": b"x\ty1\n\n\n y1 \n\nlast",
+    "blank lines": b"\n\n \n\t\n\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_INPUTS))
+def test_stdin_chunks_split_lines_as_iterating_stdin_does(name):
+    data = READER_INPUTS[name]
+    reference = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n")
+    expected = [line.removesuffix("\n") for line in reference]
+    for phase in range(7):  # each cycle of read sizes cuts the input in other places
+        stdin = io.TextIOWrapper(io.BufferedReader(Trickle(data, phase)), encoding="utf-8", errors="surrogateescape")
+        chunks = list(stdin_chunks(stdin))
+        assert all(chunks)
+        assert [line for chunk in chunks for line in chunk] == expected
+    # a stream without a binary buffer gives one line per chunk
+    chunks = list(stdin_chunks(io.StringIO(data.decode("utf-8", "surrogateescape"))))
+    assert chunks == [[line] for line in expected]
+
+
+class AnsweredLineByLine(io.StringIO):
+    """stdin that lets a line be read only once every line before it is answered."""
+
+    def __init__(self, text, out):
+        super().__init__(text)
+        self.out, self.lines_read = out, 0
+
+    def __next__(self):
+        assert self.out.getvalue().count("\n") == self.lines_read, "a line was read before the last was answered"
+        self.lines_read += 1
+        return super().__next__()
+
+
+def test_eq_stdin_answers_each_line_before_reading_the_next(capsys, monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    monkeypatch.setattr("sys.stdin", AnsweredLineByLine("x\tx\ny1\tx\ny1 |> y1\ty1\n", out))
+    code, _, err = run(capsys, "--gens", "1", "eq", "--stdin")
+    assert (code, err, out.getvalue()) == (1, "", "equal\nnot-equal\nequal\n")
+
+
+def test_eq_stdin_serves_a_client_that_waits_for_each_answer():
+    # a co-process: write one pair, wait for its answer, then write the next;
+    # without PYTHONUNBUFFERED an answer left in a block buffer never comes
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    proc = subprocess.Popen([sys.executable, "-m", "quandles", "--gens", "1", "eq", "--stdin"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+    try:
+        for pair, answer in ((b"y1 |> y1\ty1\n", b"equal\n"), (b"x |> y1\tx\n", b"not-equal\n")):
+            proc.stdin.write(pair)
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, f"no answer to {pair!r} within 10 s"
+            assert proc.stdout.readline() == answer
+        proc.stdin.close()
+        assert proc.wait(timeout=10) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 def test_nf_output(capsys):
@@ -242,10 +341,11 @@ STDIN_BATCHES = {
 @pytest.mark.parametrize("batch", sorted(STDIN_BATCHES))
 def test_eq_stdin_json_streams_the_buffered_document(capsys, monkeypatch, batch):
     text, report = STDIN_BATCHES[batch]
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, _ = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
-    assert out == json.dumps(report) + "\n"
-    assert code == (2 if "errors" in report else 0 if report["all_equal"] else 1)
+    for stdin in STDINS:
+        monkeypatch.setattr("sys.stdin", stdin(text))
+        code, out, _ = run(capsys, "--gens", "1", "--json", "eq", "--stdin")
+        assert out == json.dumps(report) + "\n"
+        assert code == (2 if "errors" in report else 0 if report["all_equal"] else 1)
 
 
 @pytest.mark.parametrize(
@@ -269,14 +369,17 @@ def test_eq_stdin_internal_error_stops_the_batch(capsys, monkeypatch, mode):
         return decided(s, t, theory)
 
     monkeypatch.setattr(decide, "term_equal", fails_on_line_2)
-    monkeypatch.setattr("sys.stdin", io.StringIO("x\tx\ny1\ty1\ny1 |> y1\ty1\n"))
-    code, out, err = run(capsys, "--gens", "1", *(["--json"] if mode == "json" else []), "eq", "--stdin")
-    assert code == 3
-    assert err == "internal error: RuntimeError: boom\n"
-    if mode == "json":
-        assert json.loads(out) == {"results": [True], "all_equal": False}
-    else:
-        assert out == "equal\n"
+    # a buffered stdin is read in one chunk, so the slot of line 1 is still
+    # pending when line 2 fails: it must be written all the same
+    for stdin in STDINS:
+        monkeypatch.setattr("sys.stdin", stdin("x\tx\ny1\ty1\ny1 |> y1\ty1\n"))
+        code, out, err = run(capsys, "--gens", "1", *(["--json"] if mode == "json" else []), "eq", "--stdin")
+        assert code == 3
+        assert err == "internal error: RuntimeError: boom\n"
+        if mode == "json":
+            assert json.loads(out) == {"results": [True], "all_equal": False}
+        else:
+            assert out == "equal\n"
 
 
 def _cap_address_space():

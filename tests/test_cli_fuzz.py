@@ -13,6 +13,8 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
+from test_cli import Trickle
+
 from quandles import suites
 from quandles.cli import main
 
@@ -81,12 +83,25 @@ stdins = st.lists(
 ).map(lambda lines: "".join(line + "\n" for line in lines))
 
 
+def trickled(text, phase):
+    """stdin over a raw stream that returns a few bytes per read."""
+    raw = Trickle(text.encode("utf-8", "surrogateescape"), phase)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape")
+
+
+# stdin read a line at a time, or a chunk per read cut anywhere
+stdin_streams = st.one_of(
+    stdins.map(io.StringIO),
+    st.builds(trickled, stdins, st.integers(0, 6)),
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(argvs(), stdins)
+@given(argvs(), stdin_streams)
 def test_cli_never_crashes(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = stdin
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

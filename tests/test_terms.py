@@ -255,6 +255,27 @@ def test_parse_rejects_aux_when_asked():
         terms.parse("x0 |> x1", 0, allow_aux=False)
 
 
+def test_atoms_remembered_across_calls_are_checked_again():
+    # an atom that passed once must not pass under another count or setting
+    assert terms.parse("y3", 3) == Atom("y3")
+    with pytest.raises(UnknownGeneratorError):
+        terms.parse("y3", 2)
+    assert terms.parse("x0", 1) == Atom("x0")
+    with pytest.raises(TermSyntaxError) as exc:
+        terms.parse("x0", 1, allow_aux=False)
+    assert exc.value.position == 0
+    assert terms.parse("y01", 1) == terms.parse("y1", 1) == Atom("y1")
+    # an error is raised anew, at its own position, each time
+    for _ in range(2):
+        with pytest.raises(TermSyntaxError) as exc:
+            terms.parse("y1 |> (x |> x0 |> y1", 1, allow_aux=False)
+        assert str(exc.value) == "auxiliary atom 'x0' not allowed (at position 12)"
+    for _ in range(2):
+        with pytest.raises(TermSyntaxError) as exc:
+            terms.parse("x |> y1 |>", 1)
+        assert str(exc.value) == "unexpected end of input (at position 10)"
+
+
 # --- rendering -------------------------------------------------------------
 
 def test_render_examples():
