@@ -167,9 +167,9 @@ def test_eq_stdin_serves_a_client_that_waits_for_each_answer():
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.join(root, "src")
-    proc = subprocess.Popen([sys.executable, "-m", "quandles", "--gens", "1", "eq", "--stdin"],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-    try:
+    # leaving the block closes stdin, so the program ends even when an answer is missing
+    with subprocess.Popen([sys.executable, "-m", "quandles", "--gens", "1", "eq", "--stdin"],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env) as proc:
         for pair, answer in ((b"y1 |> y1\ty1\n", b"equal\n"), (b"x |> y1\tx\n", b"not-equal\n")):
             proc.stdin.write(pair)
             proc.stdin.flush()
@@ -178,10 +178,6 @@ def test_eq_stdin_serves_a_client_that_waits_for_each_answer():
             assert proc.stdout.readline() == answer
         proc.stdin.close()
         assert proc.wait(timeout=10) == 1
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
 
 
 def test_nf_output(capsys):
