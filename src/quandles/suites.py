@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from . import decide, isotropy, rewrite, translate, words
 from .decide import QUANDLE, RACK
-from .isotropy import QuandleElem, RackElem
+from .isotropy import RackElem
 from .terms import (
     X,
     X0,
@@ -82,65 +82,24 @@ class SuiteReport:
 # Membership by unwound definition (used to cross-check the canonical forms)
 # ---------------------------------------------------------------------------
 
-def realize_group_word(w: GroupWord) -> Term | None:
-    """A closed term translating exactly to the reduced word ``w``, if any.
-
-    Translations of closed terms are precisely the conjugates ``g^-1 a g`` of
-    single positive letters; the term is the atom ``a`` followed by one
-    operation per letter of ``g``.
-    """
-    left, right = 0, len(w)
-    while right - left >= 2 and w[left][0] == w[right - 1][0] and w[left][1] == -w[right - 1][1]:
-        left += 1
-        right -= 1
-    core = w[left:right]
-    if len(core) != 1 or core[0][1] != 1:
-        return None
-    t: Term = Atom(core[0][0])
-    for l, e in w[right:]:
-        t = Node(e, t, Atom(l))
-    return t
-
-
-def quandle_member_by_definition(t: Term) -> bool:
+def member_by_definition(t: Term, theory: str) -> bool:
     """Membership decided from invertibility plus generic commutation only.
 
-    Never consults the canonical-shape test.  Invertibility is decided
-    exactly: an inverse's translation is forced by the single substitution
-    equation, so it suffices to realize that one candidate and verify both
-    equations with the decider.  (Generic commutation already forces at most
-    one occurrence of ``x`` in the reduced image, so the multi-occurrence
-    fallback answer False is exact.)
+    Never consults the canonical-shape test: the tail is read from
+    ``translate.normal_form``, not from the rack image that
+    ``isotropy.canon`` splits.  A term whose leftmost atom is not ``x`` stays
+    that way under every substitution, so it cannot be invertible.  Otherwise
+    an inverse's translation is forced by the single substitution equation:
+    for a tail ``x^z * w``, the candidate is ``x``, then |z| self-applications
+    of the opposite sign, then one operation per letter of ``w^-1``, and both
+    equations are checked with the decider.  The quandle normal form has
+    already dropped the head's leading run, so there ``z`` is 0.  Tails whose
+    ``w`` still holds ``x`` cannot occur together with generic commutation;
+    answering False there is exact.
     """
-    if not isotropy.commutes_generically(t, QUANDLE):
+    if not isotropy.commutes_generically(t, theory):
         return False
-    image = translate.quandle_image(t)
-    positions = [i for i, (l, _) in enumerate(image) if l == X]
-    if len(positions) != 1 or image[positions[0]][1] != 1:
-        return False
-    k = positions[0]
-    forced = words.mul(words.inv(image[:k]), words.letter(X), words.inv(image[k + 1:]))
-    candidate = realize_group_word(forced)
-    if candidate is None:
-        return False
-    return decide.quandle_equal(subst(t, candidate, X), Atom(X)) and decide.quandle_equal(
-        subst(candidate, t, X), Atom(X)
-    )
-
-
-def rack_member_by_definition(t: Term) -> bool:
-    """Rack membership from invertibility plus generic commutation only.
-
-    A term whose leftmost atom is not ``x`` stays that way under every
-    substitution, so it cannot be invertible.  Otherwise the candidate
-    inverse, forced at the level of translations, is built directly and both
-    substitution equations are checked with the decider.  Tails that do not
-    split as an ``x``-power followed by generators cannot occur together with
-    generic commutation; answering False there is exact.
-    """
-    if not isotropy.commutes_generically(t, RACK):
-        return False
-    head, tail = translate.rack_image(t)
+    head, tail = translate.normal_form(t, theory)
     if head != X:
         return False
     z, rest = words.split_leading_run(tail, X)
@@ -151,9 +110,17 @@ def rack_member_by_definition(t: Term) -> bool:
         candidate = Node(-1 if z > 0 else 1, candidate, Atom(X))
     for l, e in words.inv(rest):
         candidate = Node(e, candidate, Atom(l))
-    return decide.rack_equal(subst(t, candidate, X), Atom(X)) and decide.rack_equal(
-        subst(candidate, t, X), Atom(X)
+    return decide.term_equal(subst(t, candidate, X), Atom(X), theory) and decide.term_equal(
+        subst(candidate, t, X), Atom(X), theory
     )
+
+
+def quandle_member_by_definition(t: Term) -> bool:
+    return member_by_definition(t, QUANDLE)
+
+
+def rack_member_by_definition(t: Term) -> bool:
+    return member_by_definition(t, RACK)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +230,8 @@ def suite_theorem(theory: str, max_size: int, n: int) -> SuiteReport:
     canonical inverses really are two-sided inverses (``theorem2`` for
     quandles, ``theorem5`` for racks)."""
     report = SuiteReport("theorem2" if theory == QUANDLE else "theorem5")
-    member_by_definition = (
-        quandle_member_by_definition if theory == QUANDLE else rack_member_by_definition
-    )
+    # through the twin names, which `bench/tracing.py` wraps by name
+    oracle = quandle_member_by_definition if theory == QUANDLE else rack_member_by_definition
     alphabet = standard_alphabet(n, include_x=True)
     mismatches: list[str] = []
     bad_inverses: list[str] = []
@@ -274,7 +240,7 @@ def suite_theorem(theory: str, max_size: int, n: int) -> SuiteReport:
     for t in enumerate_terms(alphabet, max_size):
         total += 1
         elem = isotropy.canon(t, theory)
-        by_def = member_by_definition(t)
+        by_def = oracle(t)
         if (elem is not None) != by_def:
             mismatches.append(render(t))
             continue
@@ -300,82 +266,51 @@ def suite_theorem(theory: str, max_size: int, n: int) -> SuiteReport:
     return report
 
 
-def suite_iso_fn(max_len: int, n: int) -> SuiteReport:
-    """The embedding of free-group words into quandle elements is a group
-    isomorphism, and canonical multiplication matches term substitution."""
-    _require_at_least(0, max_len=max_len)
-    report = SuiteReport("iso-f_n")
-    gens = standard_alphabet(n, include_x=False)
-    word_list = list(words.enumerate_reduced(gens, max_len))
-
-    hom_bad = 0
-    for u in word_list:
-        for v in word_list:
-            lhs = isotropy.quandle_embed(words.mul(u, v))
-            rhs = isotropy.quandle_mul(isotropy.quandle_embed(u), isotropy.quandle_embed(v))
-            if lhs != rhs:
-                hom_bad += 1
-    report.add("homomorphism law", hom_bad == 0, f"{len(word_list) ** 2} pairs, {hom_bad} failures")
-
-    images = {isotropy.quandle_embed(u) for u in word_list}
-    report.add("injective on range", len(images) == len(word_list), f"{len(word_list)} words")
-    elems = {QuandleElem(w) for w in word_list}
-    report.add("surjective onto canonical elements in range", images == elems, f"{len(elems)} elements")
-
-    mul_bad = 0
-    elem_list = sorted(elems, key=lambda e: words.sort_key(e.word))
-    for a in elem_list:
-        for b in elem_list:
-            by_subst = isotropy.quandle_canon(
-                subst(isotropy.elem_to_term(a), isotropy.elem_to_term(b), X)
-            )
-            if by_subst != isotropy.quandle_mul(a, b):
-                mul_bad += 1
-    report.add(
-        "canonical product = substitution then canonicalization",
-        mul_bad == 0,
-        f"{len(elem_list) ** 2} pairs, {mul_bad} failures",
-    )
-    return report
+# theory -> (suite name, embedding (z, u) -> element, whether it reverses
+# products, law label, what the range is counted in, product-check label)
+_ISO = {
+    QUANDLE: ("iso-f_n", lambda z, u: isotropy.quandle_embed(u), False, "homomorphism law", "words",
+              "canonical product = substitution then canonicalization"),
+    RACK: ("iso-zxf_n", isotropy.rack_embed, True, "anti-homomorphism law", "pairs",
+           "closed product formula = substitution then canonicalization"),
+}
 
 
-def suite_iso_zxfn(max_z: int, max_len: int, n: int) -> SuiteReport:
-    """The pairing of an integer with a free-group word anti-embeds into rack
-    elements, and the closed product formula matches term substitution."""
+def suite_iso(theory: str, max_z: int, max_len: int, n: int) -> SuiteReport:
+    """The embedding of free-group words (paired with an integer for racks)
+    into canonical elements is a group isomorphism (an anti-isomorphism for
+    racks), and the canonical product matches term substitution.  Quandle
+    elements forget the integer, so ``iso-f_n`` runs with ``max_z`` 0."""
     _require_at_least(0, max_z=max_z, max_len=max_len)
-    report = SuiteReport("iso-zxf_n")
+    name, embed, reverses, law, unit, product = _ISO[theory]
+    report = SuiteReport(name)
     gens = standard_alphabet(n, include_x=False)
     word_list = list(words.enumerate_reduced(gens, max_len))
     pairs = [(z, u) for z in range(-max_z, max_z + 1) for u in word_list]
 
-    anti_bad = 0
+    law_bad = 0
     for z, u in pairs:
         for zp, v in pairs:
-            lhs = isotropy.rack_embed(z + zp, words.mul(u, v))
-            rhs = isotropy.rack_mul(isotropy.rack_embed(zp, v), isotropy.rack_embed(z, u))
+            a, b = embed(z, u), embed(zp, v)
+            lhs = embed(z + zp, words.mul(u, v))
+            rhs = isotropy.mul(b, a) if reverses else isotropy.mul(a, b)
             if lhs != rhs:
-                anti_bad += 1
-    report.add("anti-homomorphism law", anti_bad == 0, f"{len(pairs) ** 2} pairs, {anti_bad} failures")
+                law_bad += 1
+    report.add(law, law_bad == 0, f"{len(pairs) ** 2} pairs, {law_bad} failures")
 
-    images = {isotropy.rack_embed(z, u) for z, u in pairs}
-    report.add("injective on range", len(images) == len(pairs), f"{len(pairs)} pairs")
-    elems = {RackElem(z, w) for z, w in pairs}
+    images = {embed(z, u) for z, u in pairs}
+    report.add("injective on range", len(images) == len(pairs), f"{len(pairs)} {unit}")
+    elems = {isotropy.element(theory, z, w) for z, w in pairs}
     report.add("surjective onto canonical elements in range", images == elems, f"{len(elems)} elements")
 
     mul_bad = 0
     elem_list = sorted(elems, key=lambda e: (e.z, words.sort_key(e.word)))
     for a in elem_list:
         for b in elem_list:
-            by_subst = isotropy.rack_canon(
-                subst(isotropy.elem_to_term(a), isotropy.elem_to_term(b), X)
-            )
-            if by_subst != isotropy.rack_mul(a, b):
+            by_subst = isotropy.canon(subst(isotropy.elem_to_term(a), isotropy.elem_to_term(b), X), theory)
+            if by_subst != isotropy.mul(a, b):
                 mul_bad += 1
-    report.add(
-        "closed product formula = substitution then canonicalization",
-        mul_bad == 0,
-        f"{len(elem_list) ** 2} pairs, {mul_bad} failures",
-    )
+    report.add(product, mul_bad == 0, f"{len(elem_list) ** 2} pairs, {mul_bad} failures")
     return report
 
 
@@ -635,8 +570,8 @@ SUITES: dict[str, Suite] = {
     "oracle": Suite(suite_oracle, {"max_size": 5, "max_steps": 3, "n": 2}),
     "theorem2": Suite(partial(suite_theorem, QUANDLE), {"max_size": 7, "n": 2}),
     "theorem5": Suite(partial(suite_theorem, RACK), {"max_size": 7, "n": 1}),
-    "iso-f_n": Suite(suite_iso_fn, {"max_len": 3, "n": 2}),
-    "iso-zxf_n": Suite(suite_iso_zxfn, {"max_z": 2, "max_len": 2, "n": 2}),
+    "iso-f_n": Suite(partial(suite_iso, QUANDLE, 0), {"max_len": 3, "n": 2}),
+    "iso-zxf_n": Suite(partial(suite_iso, RACK), {"max_z": 2, "max_len": 2, "n": 2}),
     "lemmas": Suite(suite_lemmas, {"samples": 500, "word_len": 5}, ("seed",)),
     "global": Suite(suite_global, {"max_size": 7}, ("theory",)),
     "naturality": Suite(suite_naturality, {"samples": 100}, ("seed",)),

@@ -2,7 +2,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +220,37 @@ def test_deep_right_nested_terms(theory, k):
     t = right_nested(k)
     assert decide.term_equal(t, Node(-1, Node(1, t, Atom(gen(1))), Atom(gen(1))), theory)
     assert not decide.term_equal(t, right_nested(k, inner_sign=-1), theory)
+
+
+def test_threads_answer_as_a_serial_run():
+    rng = random.Random(2026)
+    pairs = []
+    for letters in (ALPHABETS[4], ALPHABETS[200]):
+        for _ in range(20):
+            s = random_term(rng, letters, 15)
+            pairs += [(s, random_term(rng, letters, 15)), (s, _rewritten(s, QUANDLE, rng, 3))]
+    deep = right_nested(24)  # past the wall: decided through the model and the compressed forms
+    deep_pairs = [
+        (deep, Node(-1, Node(1, deep, Atom(gen(1))), Atom(gen(1)))),
+        (deep, right_nested(24, inner_sign=-1)),
+    ]
+
+    def answers():
+        return [decide.term_equal(s, t, theory) for s, t in pairs + deep_pairs for theory in (QUANDLE, RACK)] + [
+            translate.normal_form(t, theory) for pair in pairs for t in pair for theory in (QUANDLE, RACK)
+        ]
+
+    start = threading.Barrier(4)
+
+    def together():
+        start.wait(timeout=10)
+        return answers()
+
+    with ThreadPoolExecutor(4) as pool:
+        threaded = [f.result() for f in [pool.submit(together) for _ in range(4)]]
+    serial = answers()
+    assert serial[len(pairs) * 2 :][:4] == [True, True, False, False]
+    assert all(result == serial for result in threaded)
 
 
 # --- the model in SL2(F_p), and the deciders' stop ---------------------------

@@ -167,6 +167,25 @@ def test_single_positive_x_when_substitutions_commute():
     assert holders > 0
 
 
+XP = (X, 1)
+XI = (X, -1)
+
+
+@pytest.mark.parametrize(
+    "word, z, rest",
+    [
+        ((XP, XP, Y1, XI), 2, (Y1, XI)),  # a positive run
+        ((XI, XI, XI, Y2), -3, (Y2,)),  # a negative run
+        ((Y1, XP, XP), 0, (Y1, XP, XP)),  # no leading run
+        ((XI, XI), -2, ()),  # the whole word is the run
+        ((), 0, ()),
+        ((Y1, Y2I), 0, (Y1, Y2I)),  # the target does not occur
+    ],
+)
+def test_split_leading_run(word, z, rest):
+    assert words.split_leading_run(word, X) == (z, rest)
+
+
 # --- syntax and JSON -------------------------------------------------------
 
 def test_word_render():
