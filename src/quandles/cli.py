@@ -32,10 +32,7 @@ def _parse_elem(text: str, args):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed element JSON: {exc}") from exc
-    try:
-        elem = isotropy.elem_from_json(data)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    elem = isotropy.elem_from_json(data)
     if elem.theory != args.theory:
         raise CliError(f"element theory does not match --theory {args.theory}")
     return elem

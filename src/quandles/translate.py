@@ -91,10 +91,10 @@ def _compact_images(
     explicit stack until its own image is done.
 
     All terms share one codebook, which numbers letter names in the order
-    they are met.  Returns it, the sign mask of its width and one
-    ``(head, tail)`` per term.  The width is the narrowest whose codes
-    number every name the terms contain: a walk that meets one name too
-    many starts again at the next width.  A ``capped`` walk raises
+    they are met; a name's code is its number.  Returns the codebook, the
+    sign mask of its width and one ``(head, tail)`` per term.  Codes are one
+    byte while the terms contain at most 128 names: a walk that meets a
+    129th starts again once, with 4-byte codes.  A ``capped`` walk raises
     ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE`` letters per
     node met so far.
     """
@@ -133,11 +133,9 @@ def _compact_images(
                         if h in codes:
                             c = codes[h]
                         else:
-                            c = len(codes)
+                            c = codes[h] = len(codes)
                             if c == room:
                                 raise words.CodebookFull
-                            # below 128 an index is its own code
-                            c = codes[h] = c if c < 128 else words.letter_code(c)
                         if node.sign < 0:
                             c ^= mask
                         if w:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from operator import itemgetter
+from operator import invert, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, MutableSequence
 
 from .terms import gen, gen_index, is_gen, letter_key
@@ -47,19 +47,6 @@ class _InverseTable(dict):
 
 
 INVERSE = _InverseTable()
-
-
-class _SignedTable(dict):
-    """Letter name -> its shared signed letters ``(name, 1), (name, -1)``,
-    filled on first use from ``INVERSE``."""
-
-    def __missing__(self, name: str) -> tuple[SignedLetter, SignedLetter]:
-        pos = INVERSE[name, -1]
-        self[name] = pair = (pos, INVERSE[pos])
-        return pair
-
-
-SIGNED = _SignedTable()
 
 
 def letter(name: str, exponent: int = 1) -> GroupWord:
@@ -149,42 +136,26 @@ def enumerate_reduced(letters: Iterable[str], max_len: int) -> Iterator[GroupWor
 
 # ---------------------------------------------------------------------------
 # Compact words.  A codebook numbers the letter names that one computation
-# meets; a signed letter is then one element of W bytes, holding 7 bits of
-# the name's index in every byte and the sign in bit 7 of every byte.  So
-# ``code ^ mask`` inverts a letter at any width, and a word is inverted by two
-# bulk operations on its bytes: reversing the elements and translating every
-# byte through FLIP.  A word of 1-byte letters is a ``bytearray``, a wider
-# one an ``array`` of the matching item size.
+# meets, and a signed letter is then one integer: name number ``i`` with
+# exponent +1 is ``i`` itself, and with exponent -1 it is ``i ^ mask``.  Up to
+# 128 names a letter is one byte, with the sign in bit 7, and a word is a
+# ``bytearray``; beyond, a letter is a signed 4-byte integer, ``~i`` for the
+# inverse, and a word is an ``array("i")``.  At both widths ``code ^ mask``
+# inverts a letter.
 # ---------------------------------------------------------------------------
 
 FLIP = bytes(b ^ 0x80 for b in range(256))
 
-
-def _width(size: int) -> tuple[Callable[[], CompactWord], int, int]:
-    if size == 1:
-        new = bytearray
-    else:
-        new = partial(array, next(c for c in "HILQ" if array(c).itemsize == size))
-    return new, int.from_bytes(b"\x80" * size, "little"), 1 << 7 * size
-
-
-# For letters of 1, 2, 4 and 8 bytes: the constructor of an empty word, the
-# mask that flips a code to its inverse, and how many names the codes number.
-WIDTHS = tuple(_width(size) for size in (1, 2, 4, 8))
+# For letters of 1 and 4 bytes: the constructor of an empty word, the mask
+# that flips a code to its inverse, and how many names the codes number.
+WIDTHS: tuple[tuple[Callable[[], CompactWord], int, int], ...] = (
+    (bytearray, 0x80, 1 << 7),
+    (partial(array, "i"), -1, 1 << 31),
+)
 
 
 class CodebookFull(Exception):
     """More letter names than a code width numbers."""
-
-
-def letter_code(index: int) -> int:
-    """The code of name number ``index`` with exponent +1: 7 bits per byte."""
-    code = shift = 0
-    while index:
-        code |= (index & 0x7F) << shift
-        index >>= 7
-        shift += 8
-    return code
 
 
 def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> None:
@@ -200,13 +171,10 @@ def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> None
         tail.pop()
         j -= 1
     if j:
-        inverse = bytearray(w[:j] if j < len(w) else w)
-        inverse.reverse()  # reverses the elements, and the bytes in each
-        inverse = inverse.translate(FLIP)
-        if type(tail) is not bytearray:
-            inverse = array(tail.typecode, inverse)
-            inverse.byteswap()  # puts the bytes of each element back in order
-        tail += inverse
+        if type(tail) is bytearray:
+            tail += w[j - 1::-1].translate(FLIP)
+        else:
+            tail += array("i", map(invert, w[j - 1::-1]))
     if tail and tail[-1] == c ^ mask:
         tail.pop()
     else:
@@ -227,10 +195,10 @@ def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:
     """
     if not word:
         return EMPTY
-    signed = SIGNED
     table: dict[int, SignedLetter] = {}
     for name, code in codes.items():
-        table[code], table[code ^ mask] = signed[name]
+        table[code] = pos = INVERSE[name, -1]
+        table[code ^ mask] = INVERSE[pos]
     if len(word) == 1:  # itemgetter of one item returns the item itself
         return (table[word[0]],)
     return itemgetter(*word)(table)
@@ -261,7 +229,7 @@ def from_json(data: object) -> GroupWord:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f"bad word entry {entry!r}")
         l, e = entry
-        if not isinstance(l, str) or e not in (1, -1):
+        if not isinstance(l, str) or type(e) is not int or e not in (1, -1):
             raise ValueError(f"bad word entry {entry!r}")
         if not is_gen(l):
             raise ValueError(f"expected a generator letter, got {l!r}")

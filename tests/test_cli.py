@@ -229,6 +229,15 @@ def test_malformed_elem_json(capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("theory, exponent", (("quandle", "true"), ("rack", "1.0"), ("rack", "-1.0")))
+def test_mul_rejects_a_non_integer_exponent(capsys, theory, exponent):
+    elem = f'{{"theory": "{theory}", "word": [["y1", {exponent}]]}}'
+    code, out, err = run(capsys, "--theory", theory, "--gens", "1", "--json",
+                         "mul", elem, f'{{"theory": "{theory}", "word": []}}')
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad word entry")
+
+
 def test_apply(capsys):
     code, out, _ = run(capsys, "--gens", "2", "apply",
                        '{"theory": "quandle", "word": [["y1", 1]]}', "y1",

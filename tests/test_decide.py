@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_translate import recursive_rack_image
 
-from quandles import compressed, decide, rewrite, translate, words
+from quandles import compressed, decide, rewrite, terms, translate, words
 from quandles.decide import QUANDLE, RACK
-from quandles.terms import X, Atom, Node, enumerate_terms, gen, parse, random_term
+from quandles.terms import X, Atom, Node, enumerate_terms, gen, parse, random_term, render
 
 
 def q(text, n=2):
@@ -253,6 +253,45 @@ def test_threads_answer_as_a_serial_run():
     assert all(result == serial for result in threaded)
 
 
+def test_threads_parse_as_a_serial_run():
+    # four threads fill the parser's atom cache at once; keyed together, the
+    # parsed terms meet more than 128 names, so their walk restarts at the
+    # 4-byte width
+    rng = random.Random(2027)
+    texts = [render(random_term(rng, ALPHABETS[200], 31)) for _ in range(40)] + [
+        "y1 |>", "(y1 |> y2", "y1 |> |> y2", "y1 ) y2", "y1 |> y²", "x |> q", "y0 |> x", "y201 |> y1",
+        "x |> y" + "9" * 5000,
+    ]
+
+    def answers():
+        out, parsed = [], []
+        for text in texts:
+            try:
+                parsed.append(parse(text, 200))
+            except ValueError as exc:
+                out.append((type(exc).__name__, str(exc), getattr(exc, "position", None)))
+            else:
+                out.append(render(parsed[-1]))
+        return out, [translate.compact_keys(parsed, theory) for theory in (QUANDLE, RACK)]
+
+    start = threading.Barrier(4)
+
+    def together():
+        start.wait(timeout=10)
+        return answers()
+
+    terms._atom.cache_clear()
+    with ThreadPoolExecutor(4) as pool:
+        threaded = [f.result() for f in [pool.submit(together) for _ in range(4)]]
+    serial = answers()
+    rendered, keys = serial
+    assert rendered[:40] == texts[:40]
+    kinds = ["TermSyntaxError"] * 6 + ["UnknownGeneratorError"] * 2 + ["TermSyntaxError"]
+    assert [answer[0] for answer in rendered[40:]] == kinds
+    assert all(type(tail) is not bytearray for theory_keys in keys for _, tail in theory_keys)
+    assert all(result == serial for result in threaded)
+
+
 # --- the model in SL2(F_p), and the deciders' stop ---------------------------
 
 SMALL_TERMS = list(enumerate_terms((X, gen(1), gen(2)), 5))
@@ -469,3 +508,18 @@ def test_compressed_keys_of_a_deep_left_chain():
     ((head, tail),) = _compressed_images(table, [t])
     assert (head, table.expand(tail[0])) == translate.normal_form(t, RACK)
     assert (head, table.expand(table.without_head_run(tail, head))) == translate.normal_form(t, QUANDLE)
+
+
+def test_compressed_blocks_are_keyed_with_their_level():
+    # The block of symbols 1, 2, 3 at level 2 and the run of symbol 2 three
+    # times at level 1 would share the key (1, 2, 3) without the level.
+    # Products never build that pair, because the symbols of both lie one
+    # level below them and runs and blocks sit at levels of opposite parity,
+    # so the table's own steps are called.
+    table = compressed.Table()
+    table.letter(gen(1))
+    table.letter(gen(2))
+    run, _ = table._run(2, 3, 1)
+    assert (run, table.level[run], table.length[run]) == (5, 1, 3)
+    block, _ = table._block([1, 2, 3], 2)
+    assert (block, table.level[block], table.length[block]) == (6, 2, 3)
