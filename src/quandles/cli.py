@@ -4,6 +4,10 @@ Exit codes follow a strict contract: 0 for an affirmative result (equal,
 member, inner, all checks pass), 1 for a negative result, 2 for input errors
 (bad syntax, unknown generators, malformed JSON, wrong arities, suite bounds
 that would check nothing), 3 for an internal error, which is never a verdict.
+
+Each command returns its exit code, its answer as a JSON object and its
+answer as text, and ``main`` prints one of the two; only ``eq --stdin``
+writes its own output, a slot per line.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ class CliError(Exception):
     """User input error; message goes to stderr, exit status 2."""
 
 
+Answer = tuple[int, object, str]  # exit code, JSON object, text
+
+
 def _parse_term(text: str, args) -> Term:
     return parse(text, args.gens, allow_aux=not args.no_aux)
 
@@ -36,13 +43,6 @@ def _parse_elem(text: str, args):
     if elem.theory != args.theory:
         raise CliError(f"element theory does not match --theory {args.theory}")
     return elem
-
-
-def _emit_elem(elem, args) -> None:
-    if args.json:
-        print(json.dumps(isotropy.elem_to_json(elem)))
-    else:
-        print(isotropy.elem_to_text(elem))
 
 
 # what a slot of eq --stdin reads, by verdict (None: a malformed line)
@@ -146,82 +146,57 @@ def _eq_batch(args) -> int:
     return 0 if all_equal else 1
 
 
-def cmd_eq(args) -> int:
-    if args.stdin:
-        return _eq_batch(args)
+def cmd_eq(args) -> Answer:
     left = _parse_term(args.term1, args)
     right = _parse_term(args.term2, args)
     equal = decide.term_equal(left, right, args.theory)
-    if args.json:
-        print(json.dumps({"equal": equal}))
-    else:
-        print("equal" if equal else "not-equal")
-    return 0 if equal else 1
+    return (0 if equal else 1), {"equal": equal}, "equal" if equal else "not-equal"
 
 
-def cmd_nf(args) -> int:
+def cmd_nf(args) -> Answer:
+    # json.dumps writes the tuple words as words.to_json would, so text output copies none
     t = _parse_term(args.term, args)
     if args.theory == QUANDLE:
         image = translate.quandle_image(t)
-        if args.json:
-            print(json.dumps({"theory": QUANDLE, "word": words.to_json(image)}))
-        else:
-            print(words.render(image))
-    else:
-        head, tail = translate.rack_image(t)
-        if args.json:
-            print(json.dumps({"theory": RACK, "head": head, "tail": words.to_json(tail)}))
-        else:
-            print(f"head: {head}, tail: {words.render(tail)}")
-    return 0
+        return 0, {"theory": QUANDLE, "word": image}, words.render(image)
+    head, tail = translate.rack_image(t)
+    return 0, {"theory": RACK, "head": head, "tail": tail}, f"head: {head}, tail: {words.render(tail)}"
 
 
-def cmd_canon(args) -> int:
+def cmd_canon(args) -> Answer:
     t = _parse_term(args.term, args)
     elem = isotropy.canon(t, args.theory)
     if elem is None:
-        print(json.dumps({"member": False}) if args.json else "not-isotropy")
-        return 1
-    _emit_elem(elem, args)
-    return 0
+        return 1, {"member": False}, "not-isotropy"
+    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
 
 
-def cmd_mul(args) -> int:
+def cmd_mul(args) -> Answer:
     a = _parse_elem(args.elem1, args)
     b = _parse_elem(args.elem2, args)
-    _emit_elem(isotropy.mul(a, b), args)
-    return 0
+    elem = isotropy.mul(a, b)
+    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
 
 
-def cmd_inv(args) -> int:
-    a = _parse_elem(args.elem, args)
-    _emit_elem(isotropy.invert(a), args)
-    return 0
+def cmd_inv(args) -> Answer:
+    elem = isotropy.invert(_parse_elem(args.elem, args))
+    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> Answer:
     elem = _parse_elem(args.elem, args)
     images = [_parse_term(text, args) for text in args.images]
     q = _parse_term(args.arg, args)
-    result = isotropy.apply_inner(elem, images, q)
-    if args.json:
-        print(json.dumps({"term": render(result)}))
-    else:
-        print(render(result))
-    return 0
+    result = render(isotropy.apply_inner(elem, images, q))
+    return 0, {"term": result}, result
 
 
-def cmd_inner_check(args) -> int:
+def cmd_inner_check(args) -> Answer:
     images = [_parse_term(text, args) for text in args.images]
     witness = isotropy.inner_witness(images, args.gens, args.theory)
     if witness is None:
-        print(json.dumps({"inner": False}) if args.json else "not-inner")
-        return 1
-    if args.json:
-        print(json.dumps(isotropy.elem_to_json(witness)))
-    else:
-        print(f"witness {isotropy.elem_to_text(witness)}")
-    return 0
+        return 1, {"inner": False}, "not-inner"
+    return 0, isotropy.elem_to_json(witness), f"witness {isotropy.elem_to_text(witness)}"
 
 
 # verify's bound flags, each with the suite bound it sets
@@ -236,24 +211,22 @@ BOUND_FLAGS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Answer:
     suite = suites.SUITES.get(args.suite)
     if suite is None:
         raise CliError(f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITE_NAMES)}")
+    if args.gens:
+        raise CliError("verify does not read --gens; a suite's generator count is set with --n")
     bounds = {}
     for flag, key in BOUND_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"))  # the dest argparse gives the flag
+        value = getattr(args, key)
         if value is None:
             continue
         if key not in suite.bounds:
             raise CliError(f"option {flag} does not apply to suite {args.suite!r}")
         bounds[key] = value
     report = suites.run_suite(args.suite, theory=args.theory, seed=args.seed, **bounds)
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(report.to_text())
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), report.to_json(), report.to_text()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", metavar="SUITE",
                    help=f"one of: {', '.join(suites.SUITE_NAMES)}")
     for flag, key in BOUND_FLAGS.items():
-        p.add_argument(flag, type=int, default=None,
+        p.add_argument(flag, type=int, default=None, dest=key,
                        help="generator count of the sweep" if flag == "--n" else None)
     p.set_defaults(func=cmd_verify)
 
@@ -326,7 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "eq" and not args.stdin and (args.term1 is None or args.term2 is None):
         parser.error("eq needs two terms (or --stdin)")
     try:
-        return args.func(args)
+        if args.command == "eq" and args.stdin:
+            return _eq_batch(args)
+        code, data, text = args.func(args)
+        print(json.dumps(data) if args.json else text)
+        return code
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,8 +30,9 @@ per level.  A hierarchy is not the mirror image of its inverse's, so every
 word is carried as the pair of its top and its inverse's top.
 
 The normal forms are built by ``translate.fold`` in the group of these
-words: ``Table.product`` multiplies, and swapping the pair inverts.  Nothing
-is cached between calls.
+words: ``Table.product`` multiplies, and swapping the pair inverts; the
+quandle keys conjugate with the same two (``translate.conjugated_heads``).
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .terms import Term
-from .translate import QUANDLE, check_theory, fold
+from .translate import QUANDLE, check_theory, conjugated_heads, fold
 from .words import GroupWord, SignedLetter
 
 Entry = tuple[int, int]  # a symbol and a repeat count
@@ -119,23 +120,6 @@ class Table:
         top = self._join(self._prefix(x, kept_x), self._suffix(y, n))
         inverse = self._join(self._prefix(y_inv, kept_y), self._suffix(x_inv, n))
         return top, inverse
-
-    def without_head_run(self, w: Word, name: str) -> int:
-        """The top of ``w`` less its leading run of ``name`` (either sign).
-
-        That run, if there is one, is the first symbol of level 1, or the
-        single letter of a one-letter word.
-        """
-        top = w[0]
-        level, parts = self.level, self.parts
-        s, k = top, 1
-        while level[s] > 1:
-            s = parts[s][0][0]
-        if level[s] == 1:
-            s, k = parts[s][0]
-        if not s or self.letters[s][0] != name:
-            return top
-        return self._join([], self._suffix(top, self.length[s] * k))
 
     def _common_prefix(self, x: int, y: int) -> int:
         """How many letters the words of the symbols ``x`` and ``y`` share at
@@ -323,11 +307,12 @@ class Table:
 
 def compressed_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, int]]:
     """Keys of ``terms`` that agree exactly when the terms are provably equal
-    in ``theory``: the head and the top symbol of the tail, over one table,
-    for quandles with the tail less its leading run of the head."""
+    in ``theory``, over one table: the head and the top symbol of the tail,
+    for quandles of the conjugate ``tail^-1 head tail`` instead."""
     check_theory(theory)
     table = Table()
-    images = fold(terms, EMPTY, table.letter, table.product, lambda w: (w[1], w[0]))
+    inverse = lambda w: (w[1], w[0])
+    images = fold(terms, EMPTY, table.letter, table.product, inverse)
     if theory == QUANDLE:
-        return [(head, table.without_head_run(tail, head)) for head, tail in images]
-    return [(head, tail[0]) for head, tail in images]
+        images = conjugated_heads(images, table.letter, table.product, inverse)
+    return [(head, word[0]) for head, word in images]

@@ -1,10 +1,10 @@
 """Decision procedures for provable equality of closed terms.
 
-The deciders compare the keys of ``translate.normal_form``: equality in the
-free rack holds exactly when the rack normal forms agree, equality in the
-free quandle exactly when their quandle quotients do.  The keys are first
-compared as compact words (``translate.compact_keys``), built for both terms
-over one codebook and never decoded.
+The deciders compare normal forms: equality in the free rack holds exactly
+when the rack normal forms ``(head, tail)`` agree, equality in the free
+quandle exactly when the conjugates ``tail^-1 head tail`` do.  The keys are
+first compared as compact words (``translate.compact_keys``), built for both
+terms over one codebook and never decoded.
 
 A normal form can be exponentially longer than its term, so the compact
 keys give up once a tail outgrows a cap on its length per node.  Past it,

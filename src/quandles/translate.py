@@ -13,14 +13,13 @@ are, and ``rack_image`` and ``normal_form`` decode them into tuples of
 signed letters.  ``fold`` builds tails in any group given by its operations,
 translating each distinct subterm once; the keys past the wall below use it.
 
-The free-quandle normal form is a quotient of the rack one.  A term stands
-for the conjugate ``tail^-1 head tail``, and since the centraliser of a letter
-``h`` in a free group is the cyclic group <h>, that conjugate determines the
-tail only up to leading powers of the head.  So the quandle form is the head
-together with the tail stripped of its leading run of the head; two terms
-are equal in the free quandle exactly when these agree.  ``quandle_image``
-spells the conjugate out as a single reduced word, matching the paper's
-direct translation ``s |> t -> T^-1 S T``, ``s |>~ t -> T S T^-1``.
+The free-quandle normal form is a quotient of the rack one: a term stands
+for the conjugate ``tail^-1 head tail``, as in the paper's direct translation
+``s |> t -> T^-1 S T``, ``s |>~ t -> T S T^-1``, and every quandle key is that
+conjugate, built in the group its tail lives in.  The centraliser of a letter
+``h`` in a free group is <h>, so the conjugate fixes the tail up to leading
+powers of the head: ``normal_form`` gives the head and the tail less its
+leading run of the head, ``quandle_image`` the conjugate as one reduced word.
 
 Normal forms can grow exponentially with the depth of a term: the tail of
 ``y1 |> (y2 |> (... |> yk))`` has 2^(k-1) - 1 letters.  So ``compact_keys``
@@ -91,12 +90,13 @@ def _compact_images(
     explicit stack until its own image is done.
 
     All terms share one codebook, which numbers letter names in the order
-    they are met; a name's code is its number.  Returns the codebook, the
-    sign mask of its width and one ``(head, tail)`` per term.  Codes are one
-    byte while the terms contain at most 128 names: a walk that meets a
-    129th starts again once, with 4-byte codes.  A ``capped`` walk raises
-    ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE`` letters per
-    node met so far.
+    they are met; a name's code is its number.  Every head has a code, even
+    one that no tail uses, since a quandle key conjugates by it.  Returns the
+    codebook, the sign mask of its width and one ``(head, tail)`` per term.
+    Codes are one byte while the terms contain at most 128 names: a walk
+    that meets a 129th starts again once, with 4-byte codes.  A ``capped``
+    walk raises ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE``
+    letters per node met so far.
     """
     conjugate_onto = words.conjugate_onto
     per_node = LETTERS_PER_NODE if capped else None
@@ -146,6 +146,8 @@ def _compact_images(
                             tail.pop()
                         else:
                             tail.append(c)
+                if codes.setdefault(head, len(codes)) == room:  # quandle keys conjugate by it
+                    raise words.CodebookFull
                 images.append((head, tail))
         except words.CodebookFull:
             continue
@@ -153,29 +155,18 @@ def _compact_images(
     raise words.CodebookFull
 
 
-def _without_head_run(tail: CompactWord, code: int | None, mask: int) -> CompactWord:
-    """``tail`` less its leading run of the head, whose code is ``code``.
-
-    ``tail`` is reduced, so the run has a single sign.
-    """
-    if code is None or not tail or (tail[0] != code and tail[0] != code ^ mask):
-        return tail
-    first, i, n = tail[0], 1, len(tail)
-    while i < n and tail[i] == first:
-        i += 1
-    return tail[i:]
-
-
 def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactWord]]:
     """Keys of ``terms`` over one codebook: two agree exactly when the terms
-    are provably equal in ``theory``.  Cheaper than ``normal_form``, since
-    the tails stay compact.  Raises ``TailTooLong`` instead of building a
-    tail longer than ``LETTERS_PER_NODE`` letters per node."""
+    are provably equal in ``theory``.  A key is the head and the tail, for
+    quandles the conjugate ``tail^-1 head tail`` (``quandle_image``) instead.
+    Cheaper than ``normal_form``, since the words stay compact.  Raises
+    ``TailTooLong`` instead of building a tail longer than
+    ``LETTERS_PER_NODE`` letters per node."""
     check_theory(theory)
     codes, mask, images = _compact_images(terms, capped=True)
     if theory == RACK:
         return images
-    return [(head, _without_head_run(tail, codes.get(head), mask)) for head, tail in images]
+    return [(head, words.conjugate_onto(tail[:0], tail, codes[head], mask)) for head, tail in images]
 
 
 def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],
@@ -231,6 +222,14 @@ def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],
     return out
 
 
+def conjugated_heads(images: Sequence[tuple[str, G]], letter: Callable[[str, int], G],
+                     product: Callable[[G, G], G], inverse: Callable[[G], G]) -> list[tuple[str, G]]:
+    """The quandle keys of the rack normal forms ``images`` that ``fold``
+    built in a group with these operations: each head with the conjugate
+    ``tail^-1 head tail``."""
+    return [(head, product(inverse(tail), product(letter(head, 1), tail))) for head, tail in images]
+
+
 # --- a model: the rack normal forms evaluated in SL2(F_p) -------------------
 
 MODEL_PRIME = 2**61 - 1
@@ -274,24 +273,25 @@ class _LetterMatrices(dict):
         return pair
 
 
-def model_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, Matrix] | Matrix]:
+def model_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, Matrix]]:
     """Keys of ``terms`` in a finite model: where two differ, the terms are
     not provably equal in ``theory``.
 
     Letter names, numbered in the order ``fold`` first asks for them, go to
     the matrices of ``_letter_matrix``, and a rack normal form
     ``(head, tail)`` to ``(head, rho(tail))``, with ``rho`` the homomorphism
-    from the free group to SL2(F_p) this defines.  The quandle key is the
-    image of the conjugate ``tail^-1 head tail``.  So terms with equal normal
-    forms have equal keys, and a node costs a bounded number of 2x2 products
-    however long its normal form is.
+    from the free group to SL2(F_p) this defines; the quandle key holds the
+    image of the conjugate ``tail^-1 head tail`` instead.  So terms with equal
+    normal forms have equal keys, and a node costs a bounded number of 2x2
+    products however long its normal form is.
     """
     check_theory(theory)
     letters = _LetterMatrices()
-    images = fold(terms, _IDENTITY, lambda name, sign: letters[name][sign < 0], _product, _inverse)
+    letter = lambda name, sign: letters[name][sign < 0]
+    images = fold(terms, _IDENTITY, letter, _product, _inverse)
     if theory == RACK:
         return images
-    return [_product(_inverse(tail), _product(letters[head][0], tail)) for head, tail in images]
+    return conjugated_heads(images, letter, _product, _inverse)
 
 
 def rack_image(t: Term) -> RackNF:
@@ -310,8 +310,8 @@ def normal_form(t: Term, theory: str) -> tuple[str, GroupWord]:
     if theory == RACK:
         return rack_image(t)
     check_theory(theory)
-    codes, mask, ((head, tail),) = _compact_images((t,))
-    return head, words.decode(_without_head_run(tail, codes.get(head), mask), codes, mask)
+    head, tail = rack_image(t)
+    return head, words.split_leading_run(tail, head)[1]
 
 
 def quandle_image(t: Term) -> GroupWord:

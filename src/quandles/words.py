@@ -158,8 +158,9 @@ class CodebookFull(Exception):
     """More letter names than a code width numbers."""
 
 
-def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> None:
-    """Replace ``tail`` by the reduced product ``tail * w^-1 * c * w``.
+def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> CompactWord:
+    """Replace ``tail`` by the reduced product ``tail * w^-1 * c * w``, and
+    return it.
 
     ``tail`` and ``w`` are reduced compact words of one width and ``c`` a
     letter code.  Letters cancel only at the seams, which are scanned one
@@ -185,6 +186,7 @@ def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> None
         tail.pop()
         i += 1
     tail += w[i:] if i else w
+    return tail
 
 
 def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:

@@ -292,6 +292,15 @@ def test_verify_rejection_names_the_flag_given(capsys):
     assert "option --steps does not apply" in err
 
 
+@pytest.mark.parametrize("theory", ["quandle", "rack"])
+def test_verify_rejects_gens(capsys, theory):
+    # a suite sweeps its own generators: --gens would be silently ignored
+    code, out, err = run(capsys, "--theory", theory, "--gens", "7", "verify", "theorem2", "--max-size", "5")
+    assert (code, out) == (2, "")
+    assert "--gens" in err and "--n" in err
+    assert run(capsys, "--gens", "0", "verify", "theorem2", "--max-size", "2")[0] == 0
+
+
 def test_no_aux_flag(capsys):
     code, out, _ = run(capsys, "--gens", "0", "eq", "x0", "x0")
     assert code == 0

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -202,6 +203,42 @@ def test_deciders_match_recursive_reference(alphabet_size, data):
 @given(data=st.data())
 def test_deciders_match_recursive_reference_on_a_wide_alphabet(data):
     _check_against_reference(data, 20000)
+
+
+# --- the head's code at the width boundary ----------------------------------
+
+def _chain(head, signed):
+    """``head |>^e1 l1 |>^e2 l2 ...`` for ``signed`` = [(l1, e1), ...]; its
+    rack tail is ``l1^e1 l2^e2 ...``, the letters a walk meets in order."""
+    t = Atom(head)
+    for letter, sign in signed:
+        t = Node(sign, t, Atom(letter))
+    return t
+
+
+@pytest.mark.parametrize("tail_names, width", [(128, array), (127, bytearray)])
+def test_the_head_takes_a_code_at_the_width_boundary(tail_names, width):
+    # The tails meet their names first, so the head is the last name to get
+    # a code: the 129th when the tails use 128.  A byte holds codes 0 to 127,
+    # and 128 in a byte is the inverse of the first name met, a^-1, which s
+    # uses.  Read as a^-1, the head would make the quandle keys of s and of
+    # t, whose tail is a^-1 * tail(s), agree.
+    a, *rest = [gen(i) for i in range(1, tail_names + 1)]
+    head = gen(tail_names + 1)
+    tail = [(a, -1)] + [(name, 1) for name in rest]
+    s, t = _chain(head, tail), _chain(head, [(a, -1)] + tail)
+    idempotent = _chain(head, [(head, 1)] + tail)  # equal to s in the free quandle only
+    for theory in (QUANDLE, RACK):
+        keys = translate.compact_keys((s,), theory)
+        assert type(keys[0][1]) is width
+        for u in (s, t, idempotent):
+            assert translate.normal_form(u, theory) == _reference_key(u, theory)
+        for u in (t, idempotent):
+            equal = _reference_key(s, theory) == _reference_key(u, theory)
+            assert equal == (theory == QUANDLE and u is idempotent)
+            named = decide.quandle_equal if theory == QUANDLE else decide.rack_equal
+            assert named(s, u) == decide.term_equal(s, u, theory) == equal
+    assert translate.rack_image(s) == recursive_rack_image(s)
 
 
 # --- right-nested terms, whose normal forms double with each level ----------
@@ -496,18 +533,65 @@ def test_compressed_products_cancel_runs(left, right, letter, i, j):
     assert product == _spelled(table, words.mul(u, v))
 
 
+def _flipped(t, rng):
+    """``t`` with the sign of one operation on a random path flipped."""
+    above = []
+    while isinstance(t, Node) and rng.random() < 0.7:
+        side = rng.randint(0, 1)
+        above.append((t, side))
+        t = t.right if side else t.left
+    t = Node(-t.sign, t.left, t.right) if isinstance(t, Node) else Node(-1, t, Atom(gen(1)))
+    for node, side in reversed(above):
+        t = Node(node.sign, node.left, t) if side else Node(node.sign, t, node.right)
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_three_quandle_keys_are_one_quotient(data):
+    # each quandle key is the conjugate tail^-1 head tail, in its own group
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    s = data.draw(_balanced_terms(ALPHABETS[4]))
+    image = translate.quandle_image(s)
+    near_miss = _flipped(s, rng)
+    others = (_rewritten(s, QUANDLE, rng, rng.randint(1, 4)), _rewritten(near_miss, QUANDLE, rng, 2),
+              data.draw(_balanced_terms(ALPHABETS[4])))
+    for u in others:
+        pair = (s, u)
+        equal = image == translate.quandle_image(u)
+        compact = translate.compact_keys(pair, QUANDLE)
+        assert (compact[0] == compact[1]) == equal
+        codes, mask, _ = translate._compact_images(pair, capped=True)  # the codebook compact_keys used
+        assert words.decode(compact[0][1], codes, mask) == image
+        compressed_s, compressed_u = compressed.compressed_keys(pair, QUANDLE)
+        assert (compressed_s == compressed_u) == equal
+        model_s, model_u = translate.model_keys(pair, QUANDLE)
+        assert model_s == model_u or not equal
+
+
 def test_compressed_keys_of_a_deep_left_chain():
     # no recursion over the term and no hashing of its nodes; the tail
-    # starts with a run of the head, y1^1000, which the quandle key strips
+    # starts with a run of the head, y1^1000, which the quandle key's
+    # conjugate absorbs: the chain without those operations has the same
+    # quandle key and another rack key
     rng = random.Random(3)
-    t = Atom(gen(1))
-    for i in range(3000):
-        sign, letter = (1, gen(1)) if i < 1000 else (rng.choice((1, -1)), gen(rng.randint(1, 3)))
-        t = Node(sign, t, Atom(letter))
+    steps = [(1, gen(1))] * 1000 + [(rng.choice((1, -1)), gen(rng.randint(1, 3))) for _ in range(2000)]
+    chains = []
+    for first in (0, 1000):
+        t = Atom(gen(1))
+        for sign, letter in steps[first:]:
+            t = Node(sign, t, Atom(letter))
+        chains.append(t)
+    t = chains[0]
+    head, tail = translate.rack_image(t)
+    assert words.split_leading_run(tail, head)[0] == 1000
     table = compressed.Table()
-    ((head, tail),) = _compressed_images(table, [t])
-    assert (head, table.expand(tail[0])) == translate.normal_form(t, RACK)
-    assert (head, table.expand(table.without_head_run(tail, head))) == translate.normal_form(t, QUANDLE)
+    rack = _compressed_images(table, chains)  # one fold, as compressed_keys makes
+    quandle = translate.conjugated_heads(rack, table.letter, table.product, lambda w: (w[1], w[0]))
+    assert table.expand(rack[0][1][0]) == tail
+    assert table.expand(quandle[0][1][0]) == translate.quandle_image(t)
+    assert rack[0] != rack[1]
+    assert quandle[0] == quandle[1]
 
 
 def test_compressed_blocks_are_keyed_with_their_level():
