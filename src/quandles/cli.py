@@ -7,7 +7,9 @@ that would check nothing), 3 for an internal error, which is never a verdict.
 
 Each command returns its exit code, its answer as a JSON object and its
 answer as text, and ``main`` prints one of the two; only ``eq --stdin``
-writes its own output, a slot per line.
+writes its own output, a slot per line.  Where the JSON object costs a walk
+over a long word, the command returns a function that builds it, which
+``main`` calls only under ``--json``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import argparse
 import codecs
 import json
+import os
 import sys
+from functools import partial
 from typing import Iterator
 
 from . import decide, isotropy, suites, translate, words
@@ -27,7 +31,7 @@ class CliError(Exception):
     """User input error; message goes to stderr, exit status 2."""
 
 
-Answer = tuple[int, object, str]  # exit code, JSON object, text
+Answer = tuple[int, object, str]  # exit code, JSON object (or a function that builds it), text
 
 
 def _parse_term(text: str, args) -> Term:
@@ -168,19 +172,19 @@ def cmd_canon(args) -> Answer:
     elem = isotropy.canon(t, args.theory)
     if elem is None:
         return 1, {"member": False}, "not-isotropy"
-    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
+    return 0, partial(isotropy.elem_to_json, elem), isotropy.elem_to_text(elem)
 
 
 def cmd_mul(args) -> Answer:
     a = _parse_elem(args.elem1, args)
     b = _parse_elem(args.elem2, args)
     elem = isotropy.mul(a, b)
-    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
+    return 0, partial(isotropy.elem_to_json, elem), isotropy.elem_to_text(elem)
 
 
 def cmd_inv(args) -> Answer:
     elem = isotropy.invert(_parse_elem(args.elem, args))
-    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
+    return 0, partial(isotropy.elem_to_json, elem), isotropy.elem_to_text(elem)
 
 
 def cmd_apply(args) -> Answer:
@@ -196,7 +200,7 @@ def cmd_inner_check(args) -> Answer:
     witness = isotropy.inner_witness(images, args.gens, args.theory)
     if witness is None:
         return 1, {"inner": False}, "not-inner"
-    return 0, isotropy.elem_to_json(witness), f"witness {isotropy.elem_to_text(witness)}"
+    return 0, partial(isotropy.elem_to_json, witness), f"witness {isotropy.elem_to_text(witness)}"
 
 
 # verify's bound flags, each with the suite bound it sets
@@ -211,7 +215,16 @@ BOUND_FLAGS = {
 }
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_verify(args) -> Answer:
+    """Run a suite; ``oracle``, ``theorem2`` and ``theorem5`` split their terms
+    over every CPU this process may use."""
     suite = suites.SUITES.get(args.suite)
     if suite is None:
         raise CliError(f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITE_NAMES)}")
@@ -225,7 +238,7 @@ def cmd_verify(args) -> Answer:
         if key not in suite.bounds:
             raise CliError(f"option {flag} does not apply to suite {args.suite!r}")
         bounds[key] = value
-    report = suites.run_suite(args.suite, theory=args.theory, seed=args.seed, **bounds)
+    report = suites.run_suite(args.suite, theory=args.theory, seed=args.seed, workers=usable_cpus(), **bounds)
     return (0 if report.ok else 1), report.to_json(), report.to_text()
 
 
@@ -302,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eq" and args.stdin:
             return _eq_batch(args)
         code, data, text = args.func(args)
+        if args.json and callable(data):
+            data = data()
         print(json.dumps(data) if args.json else text)
         return code
     except (CliError, ValueError) as exc:

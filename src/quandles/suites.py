@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from . import decide, isotropy, rewrite, translate, words
+from . import decide, isotropy, rewrite, strides, translate, words
 from .decide import QUANDLE, RACK
 from .isotropy import RackElem
 from .terms import (
@@ -85,22 +85,22 @@ class SuiteReport:
 def member_by_definition(t: Term, theory: str) -> bool:
     """Membership decided from invertibility plus generic commutation only.
 
-    Never consults the canonical-shape test: the tail is read from
+    Never consults the canonical-shape test: the head and tail are read from
     ``translate.normal_form``, not from the rack image that
-    ``isotropy.canon`` splits.  A term whose leftmost atom is not ``x`` stays
-    that way under every substitution, so it cannot be invertible.  Otherwise
-    an inverse's translation is forced by the single substitution equation:
-    for a tail ``x^z * w``, the candidate is ``x``, then |z| self-applications
-    of the opposite sign, then one operation per letter of ``w^-1``, and both
+    ``isotropy.canon`` splits.  A term whose head is not ``x`` keeps its
+    leftmost atom under every substitution, so it cannot be invertible, and
+    the generic-commutation test is left out for it; every test here is free
+    of side effects, so their order does not change the answer.  Otherwise an
+    inverse's translation is forced by the single substitution equation: for
+    a tail ``x^z * w``, the candidate is ``x``, then |z| self-applications of
+    the opposite sign, then one operation per letter of ``w^-1``, and both
     equations are checked with the decider.  The quandle normal form has
     already dropped the head's leading run, so there ``z`` is 0.  Tails whose
     ``w`` still holds ``x`` cannot occur together with generic commutation;
     answering False there is exact.
     """
-    if not isotropy.commutes_generically(t, theory):
-        return False
     head, tail = translate.normal_form(t, theory)
-    if head != X:
+    if head != X or not isotropy.commutes_generically(t, theory):
         return False
     z, rest = words.split_leading_run(tail, X)
     if any(l == X for l, _ in rest):
@@ -210,12 +210,12 @@ def suite_axioms(seed: int, samples: int, max_size: int, n: int) -> SuiteReport:
     return report
 
 
-def suite_oracle(max_size: int, max_steps: int, n: int) -> SuiteReport:
+def suite_oracle(max_size: int, max_steps: int, n: int, workers: int = 1) -> SuiteReport:
     """Bounded rewriting never connects terms the deciders distinguish."""
     report = SuiteReport("oracle")
     alphabet = standard_alphabet(n, include_x=False)
     for theory in (QUANDLE, RACK):
-        r = rewrite.cross_validate(theory, alphabet, max_size, max_steps)
+        r = rewrite.cross_validate(theory, alphabet, max_size, max_steps, workers)
         report.add(
             f"{theory}: rewriting agrees with decider",
             r.ok,
@@ -225,37 +225,44 @@ def suite_oracle(max_size: int, max_steps: int, n: int) -> SuiteReport:
     return report
 
 
-def suite_theorem(theory: str, max_size: int, n: int) -> SuiteReport:
-    """Canonical-shape membership coincides with the definitional test, and
-    canonical inverses really are two-sided inverses (``theorem2`` for
-    quandles, ``theorem5`` for racks)."""
-    report = SuiteReport("theorem2" if theory == QUANDLE else "theorem5")
+MEMBER, NON_MEMBER, MISMATCH, BAD_INVERSE = "member", "non-member", "mismatch", "bad inverse"
+
+
+def _theorem_outcome(theory: str, t: Term) -> str:
+    """How ``t`` fares in ``theorem2``/``theorem5``: ``MISMATCH`` when the
+    canonical shape and the definitional test disagree on its membership,
+    else ``NON_MEMBER``, ``MEMBER``, or ``BAD_INVERSE`` for a member whose
+    canonical inverse is not a two-sided inverse."""
     # through the twin names, which `bench/tracing.py` wraps by name
     oracle = quandle_member_by_definition if theory == QUANDLE else rack_member_by_definition
-    alphabet = standard_alphabet(n, include_x=True)
-    mismatches: list[str] = []
-    bad_inverses: list[str] = []
-    members = 0
-    total = 0
-    for t in enumerate_terms(alphabet, max_size):
-        total += 1
-        elem = isotropy.canon(t, theory)
-        by_def = oracle(t)
-        if (elem is not None) != by_def:
-            mismatches.append(render(t))
-            continue
-        if elem is not None:
-            members += 1
-            t_inv = isotropy.elem_to_term(isotropy.invert(elem))
-            if not (
-                decide.term_equal(subst(t, t_inv, X), Atom(X), theory)
-                and decide.term_equal(subst(t_inv, t, X), Atom(X), theory)
-            ):
-                bad_inverses.append(render(t))
+    elem = isotropy.canon(t, theory)
+    if (elem is not None) != oracle(t):
+        return MISMATCH
+    if elem is None:
+        return NON_MEMBER
+    t_inv = isotropy.elem_to_term(isotropy.invert(elem))
+    if decide.term_equal(subst(t, t_inv, X), Atom(X), theory) and decide.term_equal(
+        subst(t_inv, t, X), Atom(X), theory
+    ):
+        return MEMBER
+    return BAD_INVERSE
+
+
+def suite_theorem(theory: str, max_size: int, n: int, workers: int = 1) -> SuiteReport:
+    """Canonical-shape membership coincides with the definitional test, and
+    canonical inverses really are two-sided inverses (``theorem2`` for
+    quandles, ``theorem5`` for racks).  The terms are split over ``workers``
+    processes by ``strides.strided_map``; the report does not depend on it."""
+    report = SuiteReport("theorem2" if theory == QUANDLE else "theorem5")
+    universe = list(enumerate_terms(standard_alphabet(n, include_x=True), max_size))
+    outcomes = strides.strided_map(partial(_theorem_outcome, theory), universe, workers)
+    mismatches = [render(t) for t, o in zip(universe, outcomes) if o == MISMATCH]
+    bad_inverses = [render(t) for t, o in zip(universe, outcomes) if o == BAD_INVERSE]
+    members = outcomes.count(MEMBER) + len(bad_inverses)
     report.add(
         "membership equivalence",
         not mismatches,
-        f"{total} terms, {members} members, {len(mismatches)} discrepancies"
+        f"{len(universe)} terms, {members} members, {len(mismatches)} discrepancies"
         + (f": {mismatches[:5]}" if mismatches else ""),
     )
     report.add(
@@ -558,7 +565,8 @@ def suite_inner(max_len: int, max_z: int, n: int) -> SuiteReport:
 
 class Suite(NamedTuple):
     """A named sweep: its function, its bounds with their defaults, and which
-    of ``run_suite``'s own arguments (``seed``, ``theory``) it takes."""
+    of ``run_suite``'s own arguments (``seed``, ``theory``, ``workers``) it
+    takes."""
 
     run: Callable[..., SuiteReport]
     bounds: dict[str, int]
@@ -567,9 +575,9 @@ class Suite(NamedTuple):
 
 SUITES: dict[str, Suite] = {
     "axioms": Suite(suite_axioms, {"samples": 1000, "max_size": 6, "n": 3}, ("seed",)),
-    "oracle": Suite(suite_oracle, {"max_size": 5, "max_steps": 3, "n": 2}),
-    "theorem2": Suite(partial(suite_theorem, QUANDLE), {"max_size": 7, "n": 2}),
-    "theorem5": Suite(partial(suite_theorem, RACK), {"max_size": 7, "n": 1}),
+    "oracle": Suite(suite_oracle, {"max_size": 5, "max_steps": 3, "n": 2}, ("workers",)),
+    "theorem2": Suite(partial(suite_theorem, QUANDLE), {"max_size": 7, "n": 2}, ("workers",)),
+    "theorem5": Suite(partial(suite_theorem, RACK), {"max_size": 7, "n": 1}, ("workers",)),
     "iso-f_n": Suite(partial(suite_iso, QUANDLE, 0), {"max_len": 3, "n": 2}),
     "iso-zxf_n": Suite(partial(suite_iso, RACK), {"max_z": 2, "max_len": 2, "n": 2}),
     "lemmas": Suite(suite_lemmas, {"samples": 500, "word_len": 5}, ("seed",)),
@@ -580,8 +588,13 @@ SUITES: dict[str, Suite] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, theory: str = QUANDLE, seed: int = 0, **bounds) -> SuiteReport:
+def run_suite(name: str, theory: str = QUANDLE, seed: int = 0, workers: int = 1, **bounds) -> SuiteReport:
     """Run a named suite, timing it; ``bounds`` override the suite's defaults.
+
+    ``oracle``, ``theorem2`` and ``theorem5`` split their terms over
+    ``workers`` forked processes when it is more than 1; the report is the
+    same, apart from ``elapsed``.  The default makes no process, so a caller
+    that runs threads may call this safely.
 
     An unknown theory raises ValueError, also for suites that cover both
     theories.  Unknown bounds raise TypeError; bounds under which a suite
@@ -592,7 +605,7 @@ def run_suite(name: str, theory: str = QUANDLE, seed: int = 0, **bounds) -> Suit
     if suite is None:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     check_theory(theory)
-    given = {"seed": seed, "theory": theory}
+    given = {"seed": seed, "theory": theory, "workers": workers}
     start = time.perf_counter()
     report = suite.run(**{key: given[key] for key in suite.takes}, **{**suite.bounds, **bounds})
     report.elapsed = time.perf_counter() - start

@@ -216,6 +216,22 @@ def test_mul_and_inv(capsys):
     assert (code, out.strip()) == (0, "word: e")
 
 
+def test_text_answers_build_no_json(capsys, monkeypatch):
+    def refuse(elem):
+        raise AssertionError("text output built a JSON object")
+
+    monkeypatch.setattr(isotropy, "elem_to_json", refuse)
+    elem = '{"theory": "quandle", "word": [["y1", 1]]}'
+    for argv, want in (
+        (["canon", "(x |> y1) |>~ y2"], "word: y1 y2^-1"),
+        (["mul", elem, elem], "word: y1 y1"),
+        (["inv", elem], "word: y1^-1"),
+        (["inner-check", "y1 |> y1", "y2 |> y1"], "witness word: y1"),
+    ):
+        code, out, err = run(capsys, "--gens", "2", *argv)
+        assert (code, out.strip(), err) == (0, want, ""), argv
+
+
 def test_elem_theory_mismatch(capsys):
     code, _, err = run(capsys, "--theory", "rack", "--gens", "1", "inv",
                        '{"theory": "quandle", "word": []}')
