@@ -104,7 +104,9 @@ def rewrite_closure(
     """Terms reachable from ``t`` in at most ``max_steps`` rewrites.
 
     Terms larger than ``max_size`` (default 2*size(t)+4) are pruned; the
-    start term is always included.
+    start term is always included.  Each level takes its neighbours straight
+    from ``rewrite_steps``, so only ``seen`` hashes them; the set found does
+    not depend on the order they come in.
     """
     check_theory(theory)
     if max_steps < 0:
@@ -116,7 +118,7 @@ def rewrite_closure(
     for _ in range(max_steps):
         next_frontier: list[Term] = []
         for u in frontier:
-            for v in rewrite_neighbors(u, theory):
+            for _, v in rewrite_steps(u, theory):
                 if v not in seen and size(v) <= max_size:
                     seen.add(v)
                     next_frontier.append(v)
@@ -147,7 +149,7 @@ def _closure_facts(
     indices of its members that lie in the universe ``index`` numbers."""
     closure = rewrite_closure(t, theory, max_steps)
     disagreeing = sorted(render(u) for u in closure if not decide.term_equal(t, u, theory))
-    return len(closure), disagreeing, {index[u] for u in closure if u in index}
+    return len(closure), disagreeing, {i for u in closure if (i := index.get(u)) is not None}
 
 
 def cross_validate(

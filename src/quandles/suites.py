@@ -95,16 +95,14 @@ def member_by_definition(t: Term, theory: str) -> bool:
     a tail ``x^z * w``, the candidate is ``x``, then |z| self-applications of
     the opposite sign, then one operation per letter of ``w^-1``, and both
     equations are checked with the decider.  The quandle normal form has
-    already dropped the head's leading run, so there ``z`` is 0.  Tails whose
-    ``w`` still holds ``x`` cannot occur together with generic commutation;
-    answering False there is exact.
+    already dropped the head's leading run, so there ``z`` is 0.  No lemma
+    on words answers for a ``w`` that holds ``x``: its candidate is built
+    the same way, ``x`` letters included, and the decider judges it.
     """
     head, tail = translate.normal_form(t, theory)
     if head != X or not isotropy.commutes_generically(t, theory):
         return False
     z, rest = words.split_leading_run(tail, X)
-    if any(l == X for l, _ in rest):
-        return False
     candidate: Term = Atom(X)
     for _ in range(abs(z)):
         candidate = Node(-1 if z > 0 else 1, candidate, Atom(X))

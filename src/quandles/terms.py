@@ -312,24 +312,6 @@ def _atom(tok: str, n: int, allow_aux: bool) -> Atom:
     raise _Malformed(f"bad atom {tok!r}", -1)
 
 
-def _located_tokens(text: str) -> tuple[list[str], list[int]]:
-    """The tokens of ``text`` with their offsets, for reporting errors.
-
-    Raises on the first character that starts no token, such as a digit
-    that is not ASCII (``y²``, ``y٣``).
-    """
-    tokens: list[str] = []
-    starts: list[int] = []
-    for match in _TOKEN.finditer(text):
-        tok, at = match.group(), match.start()
-        if tok in _SIGNS or tok in "()" or tok[0] in "xy":
-            tokens.append(tok)
-            starts.append(at)
-        else:
-            raise TermSyntaxError(f"unexpected character {tok!r}", at)
-    return tokens, starts
-
-
 def parse(text: str, n: int, allow_aux: bool = True) -> Term:
     """Parse term text over the alphabet with ``n`` generators.
 
@@ -342,20 +324,24 @@ def parse(text: str, n: int, allow_aux: bool = True) -> Term:
     with an explicit stack builds the term, so nesting has no depth limit.
     An atom spelling that passed its check is remembered across calls (for
     the same ``n`` and ``allow_aux``), so it is checked once, not once per
-    call.  A character that starts no token is reported before any other
-    error, wherever it is; the offsets of an error are worked out only once
-    the text is known to be malformed.
+    call.  A character that starts no token (``§``, or a digit that is not
+    ASCII, as in ``y²``) is reported before any other error, wherever it is;
+    the term is built once, and only a failed build scans the text again.
     """
     try:
         return _build(_TOKEN.findall(text), n, allow_aux)
-    except (_Malformed, ValueError):
-        pass
-    tokens, starts = _located_tokens(text)
-    try:
-        return _build(tokens, n, allow_aux)
-    except _Malformed as exc:
-        at = starts[exc.index] if exc.index < len(starts) else len(text)
-        raise TermSyntaxError(exc.message, at) from None
+    except (_Malformed, UnknownGeneratorError) as exc:
+        error = exc
+    starts: list[int] = []
+    for match in _TOKEN.finditer(text):
+        tok = match.group()
+        if not (tok in _SIGNS or tok in "()" or tok[0] in "xy"):
+            raise TermSyntaxError(f"unexpected character {tok!r}", match.start())
+        starts.append(match.start())
+    if not isinstance(error, _Malformed):
+        raise error
+    at = starts[error.index] if error.index < len(starts) else len(text)
+    raise TermSyntaxError(error.message, at)
 
 
 # ---------------------------------------------------------------------------

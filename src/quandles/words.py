@@ -226,6 +226,7 @@ def from_json(data: object) -> GroupWord:
     """Read a JSON word whose letters are generators only."""
     if not isinstance(data, list):
         raise ValueError("word must be a JSON array of [letter, exponent] pairs")
+    names: dict[str, str] = {}  # spelling -> letter, each checked once
     out: list[SignedLetter] = []
     for entry in data:
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -233,9 +234,12 @@ def from_json(data: object) -> GroupWord:
         l, e = entry
         if not isinstance(l, str) or type(e) is not int or e not in (1, -1):
             raise ValueError(f"bad word entry {entry!r}")
-        if not is_gen(l):
-            raise ValueError(f"expected a generator letter, got {l!r}")
-        out.append((gen(gen_index(l)), e))  # as the term parser reads it: y01 is y1, y0 is rejected
+        name = names.get(l)
+        if name is None:
+            if not is_gen(l):
+                raise ValueError(f"expected a generator letter, got {l!r}")
+            name = names[l] = gen(gen_index(l))  # as the term parser reads it: y01 is y1, y0 is rejected
+        out.append((name, e))
     return tuple(out)
 
 

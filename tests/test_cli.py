@@ -10,7 +10,7 @@ import pytest
 
 from test_decide import right_nested
 
-from quandles import decide, isotropy
+from quandles import cli, decide, isotropy
 from quandles.cli import main, stdin_chunks
 from quandles.terms import render
 
@@ -288,6 +288,14 @@ def test_verify_suite(capsys):
     code, out, _ = run(capsys, "--theory", "rack", "--json", "verify", "global", "--max-size", "5")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert cli.usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.usable_cpus() == 1
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from quandles import decide, rewrite
 from quandles.decide import QUANDLE, RACK
 from quandles.terms import Atom, Node, enumerate_terms, gen, parse, random_term, size
@@ -63,6 +65,31 @@ def test_closure_monotone_in_steps():
             cur = rewrite.rewrite_closure(t, QUANDLE, steps)
             assert prev <= cur
             prev = cur
+
+
+def closure_levels_reference(t, theory, max_steps):
+    """Reference: the closures of ``t`` within 0..max_steps rewrites, searched
+    one level at a time over ``rewrite_neighbors``, pruned at 2*size(t)+4."""
+    bound = 2 * size(t) + 4
+    seen, frontier = {t}, {t}
+    levels = [set(seen)]
+    for _ in range(max_steps):
+        frontier = {v for u in frontier for v in rewrite.rewrite_neighbors(u, theory) if size(v) <= bound} - seen
+        seen |= frontier
+        levels.append(set(seen))
+    return levels
+
+
+def test_closure_matches_a_level_by_level_search_over_neighbors():
+    for theory in (QUANDLE, RACK):
+        for t in enumerate_terms((gen(1), gen(2)), 5):
+            for steps, want in enumerate(closure_levels_reference(t, theory, 3)):
+                assert rewrite.rewrite_closure(t, theory, steps) == want, (theory, t, steps)
+
+
+def test_closure_rejects_a_negative_step_count():
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        rewrite.rewrite_closure(q("y1"), QUANDLE, -1)
 
 
 def test_closure_respects_size_bound():

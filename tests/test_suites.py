@@ -6,7 +6,7 @@ import multiprocessing
 
 import pytest
 
-from quandles import cli, decide, isotropy, suites
+from quandles import cli, decide, isotropy, suites, translate, words
 from quandles.decide import QUANDLE, RACK
 from quandles.terms import X, Atom, Node, enumerate_terms, gen, parse, render, standard_alphabet
 from quandles.words import EMPTY
@@ -38,6 +38,19 @@ def test_terms_that_do_not_commute_generically_are_not_members():
     for theory in (QUANDLE, RACK):
         assert not isotropy.commutes_generically(t, theory)
         assert not suites.member_by_definition(t, theory)
+
+
+@pytest.mark.parametrize("text", ["(x |> y1) |> x", "x |> (y1 |> x)", "(x |>~ x) |> (x |> y1)"])
+def test_the_decider_rejects_a_tail_that_holds_x_after_its_leading_run(monkeypatch, text):
+    # the oracle assumes no word-level lemma about such tails; with generic
+    # commutation forced, the candidate reaches the decider and fails there
+    t = parse(text, 1)
+    monkeypatch.setattr(isotropy, "commutes_generically", lambda t, theory: True)
+    for theory in (QUANDLE, RACK):
+        head, tail = translate.normal_form(t, theory)
+        _, rest = words.split_leading_run(tail, X)
+        assert head == X and any(l == X for l, _ in rest), theory
+        assert suites.member_by_definition(t, theory) is False, theory
 
 
 def test_the_oracle_never_reads_the_canonical_forms(monkeypatch):
@@ -111,6 +124,11 @@ def test_a_crashing_worker_is_an_internal_error_and_leaves_no_process(monkeypatc
     assert not captured.out
     assert "internal error: RuntimeError: boom" in captured.err
     assert multiprocessing.active_children() == []
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'; choose from axioms, oracle, "):
+        suites.run_suite("bogus")
 
 
 def test_run_suite_makes_no_process_by_default(monkeypatch):

@@ -249,6 +249,19 @@ def test_parse_errors_report_position(text):
     assert exc.value.position >= 0
 
 
+@pytest.mark.parametrize("text, position", [("y9 |> §", 6), (") §", 2)])
+def test_a_stray_character_is_reported_before_an_earlier_error(text, position):
+    with pytest.raises(TermSyntaxError, match="unexpected character '§'") as exc:
+        terms.parse(text, 3)
+    assert exc.value.position == position
+
+
+def test_an_unknown_generator_is_reported_before_a_later_syntax_error():
+    with pytest.raises(UnknownGeneratorError) as exc:
+        terms.parse("y9 |> )", 3)
+    assert (exc.value.index, exc.value.n) == (9, 3)
+
+
 def test_parse_rejects_aux_when_asked():
     assert terms.parse("x0 |> x1", 0) == Node(1, Atom("x0"), Atom("x1"))
     with pytest.raises(TermSyntaxError):
@@ -274,6 +287,22 @@ def test_atoms_remembered_across_calls_are_checked_again():
         with pytest.raises(TermSyntaxError) as exc:
             terms.parse("x |> y1 |>", 1)
         assert str(exc.value) == "unexpected end of input (at position 10)"
+
+
+# --- letters ---------------------------------------------------------------
+
+def test_letter_order_and_generator_indices():
+    letters = ["y10", "x1", "y2", "x", "y1", "x0"]
+    assert sorted(letters, key=terms.letter_key) == ["x", "x0", "x1", "y1", "y2", "y10"]
+    assert (terms.letter_key(X0), terms.letter_key(X1)) == ((1, 0), (2, 0))
+    assert gen_index("y10") == 10
+    with pytest.raises(ValueError, match="not a generator letter: 'x'"):
+        gen_index(X)
+
+
+def test_repr_spells_out_the_tree():
+    t = Node(-1, Node(1, Atom("x"), Atom("y1")), Atom("y2"))
+    assert repr(t) == "Node(-1, Node(+1, Atom('x'), Atom('y1')), Atom('y2'))"
 
 
 # --- rendering -------------------------------------------------------------
@@ -448,6 +477,13 @@ def test_enumerate_deterministic():
     a = list(terms.enumerate_terms(("x", "y1"), 5))
     b = list(terms.enumerate_terms(("y1", "x"), 5))
     assert a == b
+
+
+def test_enumerate_rejects_bounds_that_give_no_term():
+    with pytest.raises(ValueError, match="alphabet must be nonempty"):
+        list(terms.enumerate_terms((), 3))
+    with pytest.raises(ValueError, match="max_size must be >= 1"):
+        list(terms.enumerate_terms(("x",), 0))
 
 
 def test_random_term_rejects_max_size_below_one():

@@ -69,6 +69,11 @@ def test_mul_examples():
     assert words.mul((Y1, Y2), (Y2I, Y1)) == (Y1, Y1)
 
 
+def test_letter_rejects_an_exponent_other_than_one():
+    with pytest.raises(ValueError, match=r"exponent must be \+1 or -1, got 2"):
+        words.letter("y1", 2)
+
+
 def test_inv_examples():
     assert words.inv((Y1, Y2I)) == (Y2, Y1I)
     assert words.inv(()) == ()
@@ -198,6 +203,12 @@ def test_word_json_round_trip():
         words.from_json([["y1", 2]])
     with pytest.raises(ValueError):
         words.from_json([["x", 1]])
+    with pytest.raises(ValueError, match="bad word entry"):
+        words.from_json([["y1"]])
+    # each spelling is read as the term parser reads it, however often it recurs
+    assert words.from_json([["y01", 1], ["y1", -1], ["y01", -1]]) == (Y1, Y1I, Y1I)
+    with pytest.raises(ValueError, match="generator index must be >= 1"):
+        words.from_json([["y1", 1], ["y0", 1]])
     for exponent in (True, 1.0, -1.0):  # equal to 1 or -1, but not the int
         with pytest.raises(ValueError, match="bad word entry"):
             words.from_json([["y1", exponent]])
