@@ -5,7 +5,7 @@ equal exactly when their translations agree.  This script walks through the
 translations and shows where the rack and quandle theories differ.
 """
 
-from quandles import parse, render, quandle_image, rack_image, quandle_equal, rack_equal
+from quandles import QUANDLE, RACK, parse, render, quandle_image, rack_image, term_equal
 from quandles import words
 
 
@@ -27,8 +27,8 @@ for text in ["x", "x |> x", "x |> x |> y1", "y1 |>~ x"]:
 
 show("Idempotence holds for quandles but not racks")
 a, b = parse("y1 |> y1", 1), parse("y1", 1)
-print(f"  quandle: {render(a)} = {render(b)}?  {quandle_equal(a, b)}")
-print(f"  rack:    {render(a)} = {render(b)}?  {rack_equal(a, b)}")
+print(f"  quandle: {render(a)} = {render(b)}?  {term_equal(a, b, QUANDLE)}")
+print(f"  rack:    {render(a)} = {render(b)}?  {term_equal(a, b, RACK)}")
 
 show("Cancellation and self-distributivity hold in both theories")
 pairs = [
@@ -39,9 +39,9 @@ pairs = [
 for left, right in pairs:
     s, t = parse(left, 2), parse(right, 2)
     print(f"  {left} = {right}")
-    print(f"      quandle {quandle_equal(s, t)}, rack {rack_equal(s, t)}")
+    print(f"      quandle {term_equal(s, t, QUANDLE)}, rack {term_equal(s, t, RACK)}")
 
 show("Equal terms can look very different")
 s = parse("((x |> y1) |> y2) |>~ y2", 2)
 t = parse("x |> y1", 2)
-print(f"  {render(s)} = {render(t)}?  {quandle_equal(s, t)} (both theories: {rack_equal(s, t)})")
+print(f"  {render(s)} = {render(t)}?  {term_equal(s, t, QUANDLE)} (both theories: {term_equal(s, t, RACK)})")

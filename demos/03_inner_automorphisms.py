@@ -7,16 +7,16 @@ the witness search decides whether a single element induces it.
 """
 
 from quandles import (
-    Atom,
+    QUANDLE,
+    RACK,
     QuandleElem,
     RackElem,
     apply_hom,
     apply_inner,
+    inner_witness,
     parse,
-    quandle_equal,
-    quandle_inner_witness,
-    rack_inner_witness,
     render,
+    term_equal,
 )
 
 
@@ -37,14 +37,14 @@ print(f"    {render(apply_inner(relem, [], parse('y1', 1)))}")
 show("An endomorphism given by images: is it inner?")
 images = [parse("y1 |> y2", 2), parse("y2 |> y2", 2)]
 print(f"  y1 -> {render(images[0])}, y2 -> {render(images[1])}")
-witness = quandle_inner_witness(images, 2)
+witness = inner_witness(images, 2, QUANDLE)
 print(f"  witness element: {witness}")
 print("  so both images are plain right-multiplication by y2")
 
 show("The generator swap is an automorphism but not inner")
 swap = [parse("y2", 2), parse("y1", 2)]
-print(f"  y1 -> y2, y2 -> y1: witness = {quandle_inner_witness(swap, 2)}")
-print(f"  rack version: witness = {rack_inner_witness(swap, 2)}")
+print(f"  y1 -> y2, y2 -> y1: witness = {inner_witness(swap, 2, QUANDLE)}")
+print(f"  rack version: witness = {inner_witness(swap, 2, RACK)}")
 
 show("Naturality: acting commutes with pushing forward")
 elem = QuandleElem((("y2", 1), ("y1", -1)))
@@ -55,4 +55,4 @@ lhs = apply_hom(apply_inner(elem, h_images, q), hp_images)
 rhs = apply_inner(elem, [apply_hom(im, hp_images) for im in h_images], apply_hom(q, hp_images))
 print(f"  push(act(q)) = {render(lhs)}")
 print(f"  act(push(q)) = {render(rhs)}")
-print(f"  equal in the free quandle: {quandle_equal(lhs, rhs)}")
+print(f"  equal in the free quandle: {term_equal(lhs, rhs, QUANDLE)}")

@@ -4,9 +4,12 @@ Parsing and printing of closed terms, free-group word arithmetic, the
 translations that solve both word problems, classification of the
 substitution-invertible term classes (with their group structure and action),
 decision of inner endomorphisms, and brute-force verification suites.
+Each job has one public function: where the job differs by theory, the
+function takes ``theory`` (``QUANDLE`` or ``RACK``) or reads it off its
+elements.
 """
 
-from .decide import QUANDLE, RACK, quandle_equal, rack_equal, term_equal
+from .decide import QUANDLE, RACK, term_equal
 from .isotropy import (
     ArityMismatchError,
     QuandleElem,
@@ -18,16 +21,11 @@ from .isotropy import (
     elem_from_json,
     elem_to_json,
     elem_to_term,
-    quandle_canon,
+    inner_witness,
+    invert,
+    mul,
     quandle_embed,
-    quandle_inner_witness,
-    quandle_invert,
-    quandle_mul,
-    rack_canon,
     rack_embed,
-    rack_inner_witness,
-    rack_invert,
-    rack_mul,
 )
 from .rewrite import cross_validate, rewrite_closure, rewrite_neighbors
 from .suites import SUITE_NAMES, run_suite
@@ -45,7 +43,7 @@ from .terms import (
     subst,
     subst_many,
 )
-from .translate import RackNF, head_conjugate, quandle_image, rack_image
+from .translate import RackNF, quandle_image, rack_image
 
 __version__ = "0.1.0"
 
@@ -70,18 +68,11 @@ __all__ = [
     "enumerate_terms",
     "quandle_image",
     "rack_image",
-    "head_conjugate",
-    "quandle_equal",
-    "rack_equal",
     "term_equal",
     "commutes_generically",
-    "quandle_canon",
-    "rack_canon",
     "canon",
-    "quandle_mul",
-    "rack_mul",
-    "quandle_invert",
-    "rack_invert",
+    "mul",
+    "invert",
     "quandle_embed",
     "rack_embed",
     "elem_to_term",
@@ -89,8 +80,7 @@ __all__ = [
     "elem_from_json",
     "apply_inner",
     "apply_hom",
-    "quandle_inner_witness",
-    "rack_inner_witness",
+    "inner_witness",
     "rewrite_neighbors",
     "rewrite_closure",
     "cross_validate",

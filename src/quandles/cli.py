@@ -103,6 +103,8 @@ def _eq_batch(args) -> int:
     at its line, but the slots before it are still written and the document
     closed, with ``all_equal`` false, before ``main`` reports the error.
     """
+    if sys.stdin is None:  # started with stdin closed
+        raise CliError("no standard input to read pairs from")
     out = sys.stdout
     slots, comma = (JSON_SLOTS, ", ") if args.json else (TEXT_SLOTS, "")
     all_equal = True

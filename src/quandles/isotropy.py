@@ -11,12 +11,14 @@ substitution into ``x`` and commute with both operations form a group (unit
 * quandle: the same classes with ``z`` forgotten, since ``x |> x = x``.
   ``QuandleElem`` stores only the word; its ``z`` is always 0.
 
-One implementation serves both groups.  Each element class carries its
-``theory``, ``element`` builds an element from ``(theory, z, word)``, and
-canonicalization, products, inverses, witnesses and the JSON and text forms
-are written once against ``theory``, ``z`` and ``word``.  Canonical forms are
-read off one split of the rack normal form: head ``x`` and tail ``x^z * w``
-with ``w`` generator-only.
+One implementation serves both groups, with one public function per job.
+Each element class carries its ``theory``, ``element`` builds an element
+from ``(theory, z, word)``, and canonicalization, products, inverses,
+witnesses and the JSON and text forms are written once against ``theory``,
+``z`` and ``word``: ``canon`` and ``inner_witness`` take the theory as an
+argument, and ``mul`` and ``invert`` read it off their elements.  Canonical
+forms are read off one split of the rack normal form: head ``x`` and tail
+``x^z * w`` with ``w`` generator-only.
 
 Canonical elements act on any target model by substituting terms for the
 generators and the argument for ``x`` (``apply_inner``).  An endomorphism
@@ -120,14 +122,6 @@ def canon(t: Term, theory: str) -> Elem | None:
     return element(theory, z, rest)
 
 
-def quandle_canon(t: Term) -> QuandleElem | None:
-    return canon(t, QUANDLE)
-
-
-def rack_canon(t: Term) -> RackElem | None:
-    return canon(t, RACK)
-
-
 def elem_to_term(a: Elem) -> Term:
     """The canonical left-associated term denoted by the element."""
     return _chain(a, Atom(X), {l: Atom(l) for l, _ in a.word})
@@ -157,10 +151,6 @@ def mul(a: Elem, b: Elem) -> Elem:
 
 def invert(a: Elem) -> Elem:
     return element(a.theory, -a.z, words.inv(a.word))
-
-
-quandle_mul = rack_mul = mul
-quandle_invert = rack_invert = invert
 
 
 def quandle_embed(u: GroupWord) -> QuandleElem:
@@ -257,6 +247,15 @@ def inner_witness(images: list[Term], n: int, theory: str) -> Elem | None:
         w = words.mul(words.run(gen(1), -z), tails[0])
     elem = element(theory, z, w)
     return elem if _induces(elem, images) else None
+
+
+# kept for `bench/tracing.py` `WRAPPED`; delete when the tracer reads counters (ROADMAP item 2)
+def quandle_canon(t: Term) -> QuandleElem | None:
+    return canon(t, QUANDLE)
+
+
+def rack_canon(t: Term) -> RackElem | None:
+    return canon(t, RACK)
 
 
 def quandle_inner_witness(images: list[Term], n: int) -> QuandleElem | None:

@@ -321,11 +321,6 @@ def quandle_image(t: Term) -> GroupWord:
     return words.inv(g) + words.letter(head) + g
 
 
+# kept for `bench/tracing.py` `WRAPPED`; delete when the tracer reads counters (ROADMAP item 2)
 def head_conjugate(t: Term) -> GroupWord:
-    """The head of ``rack_image(t)`` conjugated by its tail: tail^-1 head tail.
-
-    For terms whose leftmost atom is the substitution constant this is the
-    word that a further substitution plugs in for that constant.  It equals
-    ``quandle_image(t)``.
-    """
     return quandle_image(t)

@@ -98,6 +98,14 @@ def test_eq_stdin_json_marks_malformed_lines(capsys, monkeypatch):
         assert (code, json.loads(out)) == (1, {"results": [True, False], "all_equal": False})
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_eq_stdin_closed_is_an_input_error(capsys, monkeypatch, json_flag):
+    # a process started with stdin closed has sys.stdin None
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(capsys, "--gens", "1", *json_flag, "eq", "--stdin")
+    assert (code, out, err) == (2, "", "error: no standard input to read pairs from\n")
+
+
 class Trickle(io.RawIOBase):
     """Raw bytes handed out 1 to 7 at a time, in a fixed cycle from ``phase``."""
 

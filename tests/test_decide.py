@@ -484,7 +484,7 @@ def test_deciding_under_the_cap_leaves_the_compressed_forms_unimported():
     program = (
         "import sys, quandles\n"
         "s, t = quandles.parse('(x |> y1) |>~ y1', 1), quandles.parse('x', 1)\n"
-        "print(quandles.quandle_equal(s, t), 'quandles.compressed' in sys.modules)\n"
+        "print(quandles.term_equal(s, t, 'quandle'), 'quandles.compressed' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(compressed.__file__)))
     proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=30,
