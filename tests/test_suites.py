@@ -138,3 +138,29 @@ def test_run_suite_makes_no_process_by_default(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
     for name, bounds in SPLIT:
         assert suites.run_suite(name, **bounds).ok, name
+
+
+def failed_checks(report):
+    return [c.label for c in report.checks if not c.ok]
+
+
+@pytest.mark.parametrize("name, law, product", [
+    ("iso-f_n", "homomorphism law", "canonical product = substitution then canonicalization"),
+    ("iso-zxf_n", "anti-homomorphism law", "closed product formula = substitution then canonicalization"),
+], ids=["iso-f_n", "iso-zxf_n"])
+def test_iso_suites_catch_a_product_with_its_operands_unswapped(monkeypatch, name, law, product):
+    def unswapped(a, b):
+        return isotropy.element(a.theory, a.z + b.z, words.mul(a.word, b.word))
+
+    monkeypatch.setattr(isotropy, "mul", unswapped)
+    assert failed_checks(suites.run_suite(name)) == [law, product]
+
+
+def test_lemmas_catch_a_word_substitution_that_ignores_exponents(monkeypatch):
+    def sign_blind(word, value, target):
+        return words.reduce([p for l, e in word for p in (value if l == target else [(l, e)])])
+
+    monkeypatch.setattr(words, "subst", sign_blind)
+    failed = failed_checks(suites.run_suite("lemmas", samples=20))
+    assert "commuting substitution forces at most one positive x" in failed
+    assert "conjugate substitution endings follow the case table" in failed
