@@ -108,8 +108,13 @@ def member_by_definition(t: Term, theory: str) -> bool:
         candidate = Node(-1 if z > 0 else 1, candidate, Atom(X))
     for l, e in words.inv(rest):
         candidate = Node(e, candidate, Atom(l))
-    return decide.term_equal(subst(t, candidate, X), Atom(X), theory) and decide.term_equal(
-        subst(candidate, t, X), Atom(X), theory
+    return _two_sided_inverse(t, candidate, theory)
+
+
+def _two_sided_inverse(t: Term, u: Term, theory: str) -> bool:
+    """Whether ``t[u/x] = x`` and ``u[t/x] = x``, decided in that order."""
+    return decide.term_equal(subst(t, u, X), Atom(X), theory) and decide.term_equal(
+        subst(u, t, X), Atom(X), theory
     )
 
 
@@ -139,9 +144,14 @@ def random_reduced_word(rng: random.Random, letters: tuple[str, ...], max_len: i
 
 
 def _force_leftmost(t: Term, letter: str) -> Term:
-    if isinstance(t, Atom):
-        return Atom(letter)
-    return Node(t.sign, _force_leftmost(t.left, letter), t.right)
+    spine: list[Node] = []
+    while isinstance(t, Node):
+        spine.append(t)
+        t = t.left
+    t = Atom(letter)
+    for node in reversed(spine):
+        t = Node(node.sign, t, node.right)
+    return t
 
 
 def _random_chain(rng: random.Random, letters: tuple[str, ...], max_links: int, head: str | None = None) -> Term:
@@ -240,11 +250,7 @@ def _theorem_outcome(theory: str, t: Term) -> str:
     if elem is None:
         return NON_MEMBER
     t_inv = isotropy.elem_to_term(isotropy.invert(elem))
-    if decide.term_equal(subst(t, t_inv, X), Atom(X), theory) and decide.term_equal(
-        subst(t_inv, t, X), Atom(X), theory
-    ):
-        return MEMBER
-    return BAD_INVERSE
+    return MEMBER if _two_sided_inverse(t, t_inv, theory) else BAD_INVERSE
 
 
 def suite_theorem(theory: str, max_size: int, n: int, workers: int = 1) -> SuiteReport:
@@ -293,30 +299,26 @@ def suite_iso(theory: str, max_z: int, max_len: int, n: int) -> SuiteReport:
     gens = standard_alphabet(n, include_x=False)
     word_list = list(words.enumerate_reduced(gens, max_len))
     pairs = [(z, u) for z in range(-max_z, max_z + 1) for u in word_list]
+    embedded = [embed(z, u) for z, u in pairs]
 
     law_bad = 0
-    for z, u in pairs:
-        for zp, v in pairs:
-            a, b = embed(z, u), embed(zp, v)
-            lhs = embed(z + zp, words.mul(u, v))
+    for (z, u), a in zip(pairs, embedded):
+        for (zp, v), b in zip(pairs, embedded):
             rhs = isotropy.mul(b, a) if reverses else isotropy.mul(a, b)
-            if lhs != rhs:
-                law_bad += 1
+            law_bad += embed(z + zp, words.mul(u, v)) != rhs
     report.add(law, law_bad == 0, f"{len(pairs) ** 2} pairs, {law_bad} failures")
 
-    images = {embed(z, u) for z, u in pairs}
+    images = set(embedded)
     report.add("injective on range", len(images) == len(pairs), f"{len(pairs)} {unit}")
     elems = {isotropy.element(theory, z, w) for z, w in pairs}
     report.add("surjective onto canonical elements in range", images == elems, f"{len(elems)} elements")
 
+    as_terms = {e: isotropy.elem_to_term(e) for e in elems}
     mul_bad = 0
-    elem_list = sorted(elems, key=lambda e: (e.z, words.sort_key(e.word)))
-    for a in elem_list:
-        for b in elem_list:
-            by_subst = isotropy.canon(subst(isotropy.elem_to_term(a), isotropy.elem_to_term(b), X), theory)
-            if by_subst != isotropy.mul(a, b):
-                mul_bad += 1
-    report.add(product, mul_bad == 0, f"{len(elem_list) ** 2} pairs, {mul_bad} failures")
+    for a, term_a in as_terms.items():
+        for b, term_b in as_terms.items():
+            mul_bad += isotropy.canon(subst(term_a, term_b, X), theory) != isotropy.mul(a, b)
+    report.add(product, mul_bad == 0, f"{len(elems) ** 2} pairs, {mul_bad} failures")
     return report
 
 
@@ -426,29 +428,19 @@ def suite_lemmas(seed: int, samples: int, word_len: int) -> SuiteReport:
             bad += 1
     report.add("chain substitution composes tails", bad == 0, f"{samples} pairs, {bad} failures")
 
-    # Reduced-word structure facts over {x, y1}.
+    # Reduced-word structure facts over {x, y1}, each word substituted once
+    # per value: x0, x1 and the conjugate x1^-1 x0 x1.
     reduced_words = list(words.enumerate_reduced((X, gen(1)), word_len))
     conj = ((X1, -1), (X0, 1), (X1, 1))
-
-    premise_holders = 0
-    bad = 0
+    commuting = bad_commuting = bad_endings = compatible = bad_order = 0
     for s in reduced_words:
-        lhs = words.mul(words.subst(s, words.letter(X1), X), words.subst(s, conj, X))
-        rhs = words.mul(words.subst(s, words.letter(X0), X), words.subst(s, words.letter(X1), X))
-        if lhs == rhs:
-            premise_holders += 1
-            occ = [(l, e) for l, e in s if l == X]
-            if len(occ) > 1 or (occ and occ[0][1] != 1):
-                bad += 1
-    report.add(
-        "commuting substitution forces at most one positive x",
-        bad == 0,
-        f"{len(reduced_words)} words, {premise_holders} satisfy the premise, {bad} failures",
-    )
-
-    bad = 0
-    for s in reduced_words:
-        r = words.mul(words.letter(X1), words.subst(s, conj, X))
+        s0 = words.subst(s, words.letter(X0), X)
+        s1 = words.subst(s, words.letter(X1), X)
+        s_conj = words.subst(s, conj, X)
+        r = words.mul(words.letter(X1), s_conj)
+        if words.mul(s1, s_conj) == words.mul(s0, s1):
+            commuting += 1
+            bad_commuting += [e for l, e in s if l == X] not in ([], [1])
         if not s:
             ok = bool(r) and r[-1] == (X1, 1)
         elif s[-1] == (X, 1):
@@ -461,34 +453,25 @@ def suite_lemmas(seed: int, samples: int, word_len: int) -> SuiteReport:
                 i -= 1
             trailing = r[i:]
             ok = bool(trailing) and trailing[-1] == s[-1] and i > 0 and r[i - 1] == (X1, 1)
-        if not ok:
-            bad += 1
+        bad_endings += not ok
+        if r == words.mul(s0, words.inv(s1), words.letter(X1), s1):
+            compatible += 1
+            # over {x, y1}, an x after a generator means a generator directly followed by x
+            bad_order += any(is_gen(a) and b == X for (a, _), (b, _) in zip(s, s[1:]))
+    report.add(
+        "commuting substitution forces at most one positive x",
+        bad_commuting == 0,
+        f"{len(reduced_words)} words, {commuting} satisfy the premise, {bad_commuting} failures",
+    )
     report.add(
         "conjugate substitution endings follow the case table",
-        bad == 0,
-        f"{len(reduced_words)} words, {bad} failures",
+        bad_endings == 0,
+        f"{len(reduced_words)} words, {bad_endings} failures",
     )
-
-    premise_holders = 0
-    bad = 0
-    for s in reduced_words:
-        s0 = words.subst(s, words.letter(X0), X)
-        s1 = words.subst(s, words.letter(X1), X)
-        lhs = words.mul(words.letter(X1), words.subst(s, conj, X))
-        rhs = words.mul(s0, words.inv(s1), words.letter(X1), s1)
-        if lhs == rhs:
-            premise_holders += 1
-            seen_gen = False
-            for l, _ in s:
-                if is_gen(l):
-                    seen_gen = True
-                elif l == X and seen_gen:
-                    bad += 1
-                    break
     report.add(
         "conjugation-compatible words put all x before all generators",
-        bad == 0,
-        f"{len(reduced_words)} words, {premise_holders} satisfy the premise, {bad} failures",
+        bad_order == 0,
+        f"{len(reduced_words)} words, {compatible} satisfy the premise, {bad_order} failures",
     )
     return report
 

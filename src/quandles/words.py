@@ -241,7 +241,3 @@ def from_json(data: object) -> GroupWord:
             name = names[l] = gen(gen_index(l))  # as the term parser reads it: y01 is y1, y0 is rejected
         out.append((name, e))
     return tuple(out)
-
-
-def sort_key(word: GroupWord) -> tuple:
-    return (len(word), tuple((letter_key(l), -e) for l, e in word))

@@ -18,7 +18,6 @@ import quandles
 BOUNDED = {
     ("terms", "terms_of"): "enumerate_terms: depth at most max_size",
     ("terms", "_random_term_of_size"): "depth at most the drawn size",
-    ("suites", "_force_leftmost"): "applied to random terms of size <= 5",
 }
 
 
