@@ -1,5 +1,6 @@
 """README's quick tour runs as written, and each result it shows in a
-comment is the value its line computes."""
+comment is the value its line computes; its Layout table names each module
+of the package once."""
 
 import ast
 import io
@@ -29,3 +30,11 @@ def test_quick_tour_runs_and_shows_true_results():
         assert any(note.startswith(repr(value)) for note in notes), (ast.unparse(stmt), repr(value), notes)
         shown += 1
     assert shown >= 8
+
+
+def test_layout_table_has_one_row_per_module():
+    layout = README.read_text(encoding="utf-8").split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `quandles\.(\w+)`", layout, re.M)
+    package = README.parent / "src" / "quandles"
+    modules = [p.stem for p in package.glob("*.py") if p.stem not in ("__init__", "__main__")]
+    assert sorted(rows) == sorted(modules)

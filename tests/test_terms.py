@@ -400,6 +400,17 @@ def test_subst_deep_terms():
         assert terms.subst_many(t, {"y2": s}) is t
 
 
+# Node's dataclass-generated __eq__ and __hash__ recurse; strict, so that
+# the marker must go when they stop recursing (ROADMAP item 6, Step A)
+@pytest.mark.xfail(raises=RecursionError, strict=True)
+def test_hash_and_equality_of_deep_terms():
+    text = "x" + " |> y1" * 3000
+    t, again = terms.parse(text, 1), terms.parse(text, 1)
+    assert hash(t) == hash(again)
+    assert t == again
+    assert t != terms.parse(text + " |> y1", 1)
+
+
 def size_reference(t):
     """Reference: size by structural recursion."""
     return 1 if isinstance(t, Atom) else 1 + size_reference(t.left) + size_reference(t.right)
