@@ -479,6 +479,32 @@ def test_enumerate_counts_match_recurrence(letters, max_size):
     assert all(terms.size(t) <= max_size for t in out)
 
 
+def enumerate_reference(alphabet, max_size):
+    """Reference: the size table filled by memoised recursion."""
+    letters = sorted(set(alphabet), key=terms.letter_key)
+    by_size = {1: [Atom(l) for l in letters]}
+
+    def terms_of(k):
+        if k not in by_size:
+            out = []
+            for i in range(1, k - 1, 2):
+                for left in terms_of(i):
+                    for right in terms_of(k - 1 - i):
+                        out.append(Node(1, left, right))
+                        out.append(Node(-1, left, right))
+            by_size[k] = out
+        return by_size[k]
+
+    for k in range(1, max_size + 1, 2):
+        yield from terms_of(k)
+
+
+@pytest.mark.parametrize("letters", [("y1",), ("x", "y1"), ("y2", "x", "y1")])
+def test_enumeration_order_matches_reference(letters):
+    for max_size in range(1, 10):
+        assert list(terms.enumerate_terms(letters, max_size)) == list(enumerate_reference(letters, max_size))
+
+
 def test_enumerate_count_frozen_values():
     # 1 + 2 + 8 terms of sizes 1, 3, 5 over one letter
     assert len(list(terms.enumerate_terms(("y1",), 5))) == 11
