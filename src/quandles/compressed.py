@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .terms import Term
 from .translate import QUANDLE, check_theory, conjugated_heads, fold
-from .words import GroupWord, SignedLetter
+from .words import GroupWord
 
 Entry = tuple[int, int]  # a symbol and a repeat count
 Stack = list[tuple[int, list[Entry]]]  # (level, entries), the seam's level last
@@ -69,7 +69,6 @@ class Table:
         self.length = [0]
         self.parts: list[tuple[Entry, ...]] = [()]  # what a symbol spells, one level down
         self.priority = [0]
-        self.letters: dict[int, SignedLetter] = {}
 
     def _symbol(self, key: tuple, level: int, parts: tuple[Entry, ...]) -> int:
         symbol = self._symbols.get(key)
@@ -84,15 +83,11 @@ class Table:
 
     def letter(self, name: str, exponent: int = 1) -> Word:
         """The one-letter word ``name^exponent``."""
-        return self._letter(name, exponent), self._letter(name, -exponent)
-
-    def _letter(self, name: str, exponent: int) -> int:
-        symbol = self._symbol((0, name, exponent), 0, ())
-        self.letters[symbol] = (name, exponent)
-        return symbol
+        return self._symbol((0, name, exponent), 0, ()), self._symbol((0, name, -exponent), 0, ())
 
     def expand(self, symbol: int) -> GroupWord:
         """The letters that ``symbol`` spells."""
+        letters = {s: key[1:] for key, s in self._symbols.items() if key[0] == 0}
         out = []
         todo = [(symbol, 1)] if symbol else []
         while todo:
@@ -102,7 +97,7 @@ class Table:
             if self.parts[s]:
                 todo.extend(reversed(self.parts[s]))
             else:
-                out.append(self.letters[s])
+                out.append(letters[s])
         return tuple(out)
 
     # --- products --------------------------------------------------------

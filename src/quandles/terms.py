@@ -241,7 +241,6 @@ def _build(tokens: list[str], n: int, allow_aux: bool) -> Term:
     ``stack`` and ``)`` restores them.  Errors come in the order a
     left-to-right recursive descent would meet them.
     """
-    atoms: dict[str, Atom] = {}
     stack: list[tuple[Term | None, int]] = []
     left: Term | None = None
     sign = 0
@@ -257,15 +256,13 @@ def _build(tokens: list[str], n: int, allow_aux: bool) -> Term:
             stack.append((left, sign))
             left = None
             continue
-        factor = atoms.get(tok)
-        if factor is None:
-            if tok[0] not in "xy":
-                raise _Malformed(f"expected an atom or '(', got {_OP_NAMES.get(tok, tok)!r}", i - 1)
-            try:
-                factor = atoms[tok] = _atom(tok, n, allow_aux)
-            except _Malformed as exc:
-                exc.index = i - 1
-                raise
+        if tok[0] not in "xy":
+            raise _Malformed(f"expected an atom or '(', got {_OP_NAMES.get(tok, tok)!r}", i - 1)
+        try:
+            factor = _atom(tok, n, allow_aux)
+        except _Malformed as exc:
+            exc.index = i - 1
+            raise
         # a factor is complete: attach it, then close parentheses until an
         # operator or the end
         while True:
@@ -361,20 +358,16 @@ def enumerate_terms(alphabet: Iterable[str], max_size: int) -> Iterator[Term]:
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     by_size: dict[int, list[Term]] = {1: [Atom(l) for l in letters]}
-
-    def terms_of(k: int) -> list[Term]:
-        if k not in by_size:
-            out: list[Term] = []
-            for i in range(1, k - 1, 2):
-                for left in terms_of(i):
-                    for right in terms_of(k - 1 - i):
-                        out.append(Node(1, left, right))
-                        out.append(Node(-1, left, right))
-            by_size[k] = out
-        return by_size[k]
-
-    for k in range(1, max_size + 1, 2):
-        yield from terms_of(k)
+    yield from by_size[1]
+    for k in range(3, max_size + 1, 2):
+        by_size[k] = [
+            Node(sign, left, right)
+            for i in range(1, k - 1, 2)
+            for left in by_size[i]
+            for right in by_size[k - 1 - i]
+            for sign in (1, -1)
+        ]
+        yield from by_size[k]
 
 
 def random_term(rng: random.Random, alphabet: tuple[str, ...], max_size: int) -> Term:

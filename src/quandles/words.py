@@ -5,9 +5,6 @@ runs are not compressed.  The empty tuple is the identity.  A word is reduced
 when no adjacent pair is mutually inverse; every word has a unique reduced
 form, so equality in the free group is structural equality after ``reduce``.
 
-Signed letters built here (``letter``, ``inv``) are shared objects, one per
-signed letter of the alphabet, so a word costs one pointer per letter.
-
 Normal forms are built as compact words instead (see the section below):
 one fixed-width integer code per signed letter, in a ``bytearray`` or an
 ``array``.
@@ -29,29 +26,10 @@ CompactWord = MutableSequence[int]  # a bytearray or an array, see below
 EMPTY: GroupWord = ()
 
 
-class _InverseTable(dict):
-    """Signed letter -> its inverse, filled on first use.
-
-    Each signed letter is stored once, as a shared tuple, so the table grows
-    with the alphabet and inverting a word allocates no letters.  Two threads
-    filling the same entry at once store equal tuples, so lookups stay right.
-    """
-
-    def __missing__(self, signed: SignedLetter) -> SignedLetter:
-        name, exponent = signed
-        if exponent not in (1, -1):
-            raise ValueError(f"exponent must be +1 or -1, got {exponent}")
-        pos, neg = (name, 1), (name, -1)
-        self[pos], self[neg] = neg, pos
-        return self[signed]
-
-
-INVERSE = _InverseTable()
-
-
 def letter(name: str, exponent: int = 1) -> GroupWord:
-    # the inverse of the inverse is the table's shared tuple
-    return (INVERSE[INVERSE[name, exponent]],)
+    if exponent not in (1, -1):
+        raise ValueError(f"exponent must be +1 or -1, got {exponent}")
+    return ((name, exponent),)
 
 
 def run(name: str, k: int) -> GroupWord:
@@ -88,7 +66,7 @@ def mul(*parts: Iterable[SignedLetter]) -> GroupWord:
 
 def inv(word: GroupWord) -> GroupWord:
     """The inverse word, letter by letter; reduced whenever ``word`` is."""
-    return tuple(map(INVERSE.__getitem__, reversed(word))) if word else word
+    return tuple([(l, -e) for l, e in reversed(word)])
 
 
 def subst(word: GroupWord, value: GroupWord, target: str) -> GroupWord:
@@ -190,7 +168,7 @@ def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> Comp
 
 
 def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:
-    """The compact ``word`` as a tuple of shared signed letters.
+    """The compact ``word`` as a tuple of signed letters.
 
     ``codes`` is the codebook the word was built with, name -> code of the
     name with exponent +1.
@@ -199,8 +177,8 @@ def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:
         return EMPTY
     table: dict[int, SignedLetter] = {}
     for name, code in codes.items():
-        table[code] = pos = INVERSE[name, -1]
-        table[code ^ mask] = INVERSE[pos]
+        table[code] = (name, 1)
+        table[code ^ mask] = (name, -1)
     if len(word) == 1:  # itemgetter of one item returns the item itself
         return (table[word[0]],)
     return itemgetter(*word)(table)

@@ -16,7 +16,6 @@ import quandles
 
 # (module, function) -> why its depth is bounded
 BOUNDED = {
-    ("terms", "terms_of"): "enumerate_terms: depth at most max_size",
     ("terms", "_random_term_of_size"): "depth at most the drawn size",
 }
 
