@@ -89,7 +89,7 @@ class Atom:
         return f"Atom({self.letter!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Node:
     sign: int  # +1 for |>, -1 for |>~
     left: "Term"
@@ -97,6 +97,43 @@ class Node:
 
     def __repr__(self) -> str:
         return f"Node({self.sign:+d}, {self.left!r}, {self.right!r})"
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, compared over an explicit stack of subterm
+        pairs, so terms of any depth compare."""
+        if type(other) is not Node:
+            return NotImplemented
+        pairs: list[tuple[Term, Term]] = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if type(a) is Atom:
+                if a.letter != b.letter:
+                    return False
+            elif a.sign != b.sign:
+                return False
+            else:
+                pairs.append((a.right, b.right))
+                pairs.append((a.left, b.left))
+        return True
+
+    def __hash__(self) -> int:
+        """The hash of the term's prefix spelling: signs and letters in
+        pre-order, each left spine walked in a loop and the right children
+        waiting on an explicit stack.  Equal terms spell alike."""
+        spelling: list[Union[int, str]] = []
+        todo: list[Term] = [self]
+        while todo:
+            t = todo.pop()
+            while type(t) is Node:
+                spelling.append(t.sign)
+                todo.append(t.right)
+                t = t.left
+            spelling.append(t.letter)
+        return hash(tuple(spelling))
 
 
 Term = Union[Atom, Node]

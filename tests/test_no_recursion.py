@@ -4,9 +4,9 @@ Walks the package source with ``ast`` and fails on any function that calls
 itself by name (``f(...)``, or ``self.f(...)`` in a method), apart from the
 recursions whose depth is bounded by a size argument rather than by an
 input's depth.  It sees only calls written in the source: mutual recursion
-between two functions, and code that Python generates, such as the frozen
-dataclass ``Node``'s ``__eq__`` and ``__hash__`` (which do recurse on deep
-terms), are outside what it checks.
+between two functions, and code that Python generates, are outside what it
+checks.  ``Node.__eq__`` and ``Node.__hash__`` are written in the source, so
+it checks them.
 """
 
 import ast

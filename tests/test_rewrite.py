@@ -11,6 +11,11 @@ def q(text, n=2):
     return parse(text, n)
 
 
+def test_closure_of_a_deep_term_holds_the_term():
+    deep = parse("x" + " |> y1" * 3000, 1)
+    assert rewrite.rewrite_closure(deep, RACK, 0) == {deep}
+
+
 def test_neighbors_cancellation():
     assert q("y1") in rewrite.rewrite_neighbors(q("(y1 |> y2) |>~ y2"), RACK)
     assert q("y1") in rewrite.rewrite_neighbors(q("(y1 |>~ y2) |> y2"), RACK)

@@ -400,15 +400,31 @@ def test_subst_deep_terms():
         assert terms.subst_many(t, {"y2": s}) is t
 
 
-# Node's dataclass-generated __eq__ and __hash__ recurse; strict, so that
-# the marker must go when they stop recursing (ROADMAP item 6, Step A)
-@pytest.mark.xfail(raises=RecursionError, strict=True)
 def test_hash_and_equality_of_deep_terms():
     text = "x" + " |> y1" * 3000
     t, again = terms.parse(text, 1), terms.parse(text, 1)
     assert hash(t) == hash(again)
     assert t == again
     assert t != terms.parse(text + " |> y1", 1)
+
+
+def equal_reference(s, t):
+    """Reference: structural equality by recursion."""
+    if isinstance(s, Node) and isinstance(t, Node):
+        return s.sign == t.sign and equal_reference(s.left, t.left) and equal_reference(s.right, t.right)
+    return isinstance(s, Atom) and isinstance(t, Atom) and s.letter == t.letter
+
+
+def test_equality_matches_reference_on_all_small_terms():
+    # two enumerations, so that equal terms are distinct objects
+    first = list(terms.enumerate_terms(("x", "y1"), 5))
+    second = list(terms.enumerate_terms(("x", "y1"), 5))
+    for s in first:
+        for t in second:
+            same = equal_reference(s, t)
+            assert (s == t, s != t) == (same, not same)
+            if same:
+                assert hash(s) == hash(t)
 
 
 def size_reference(t):
