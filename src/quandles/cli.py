@@ -3,7 +3,8 @@
 Exit codes follow a strict contract: 0 for an affirmative result (equal,
 member, inner, all checks pass), 1 for a negative result, 2 for input errors
 (bad syntax, unknown generators, malformed JSON, wrong arities, suite bounds
-that would check nothing), 3 for an internal error, which is never a verdict.
+that would check nothing), 3 for an internal error, which is never a verdict,
+and 141 (128 + SIGPIPE) when the reader of stdout has closed it.
 
 Each command returns its exit code, its answer as a JSON object and its
 answer as text, and ``main`` prints one of the two; only ``eq --stdin``
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import json
 import os
 import sys
@@ -147,6 +149,7 @@ def _eq_batch(args) -> int:
                 pending.append(f', "errors": {json.dumps(errors)}')
             pending.append("}\n")
         out.write("".join(pending))
+        out.flush()
     if errors:
         return 2
     return 0 if all_equal else 1
@@ -319,8 +322,17 @@ def main(argv: list[str] | None = None) -> int:
         code, data, text = args.func(args)
         if args.json and callable(data):
             data = data()
-        print(json.dumps(data) if args.json else text)
+        print(json.dumps(data) if args.json else text, flush=True)
         return code
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at exit finds
+        # nowhere to fail with the output still buffered.
+        try:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except io.UnsupportedOperation:  # a stdout with no file descriptor
+            pass
+        return 141
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

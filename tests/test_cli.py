@@ -500,6 +500,47 @@ def test_verify_rejects_negative_bound(capsys, suite, option):
     assert f"{option[2:].replace('-', '_')} must be >= 0" in err
 
 
+CLOSED_PIPE_CASES = [
+    pytest.param(["verify", "global"], "", id="verify"),
+    pytest.param(["--gens", "1", "eq", "y1", "y1"], "", id="eq"),
+    pytest.param(["--gens", "1", "eq", "--stdin"], "y1\ty1\n" * 3, id="eq-stdin"),
+    pytest.param(["--gens", "1", "--json", "eq", "--stdin"], "y1\ty1\n" * 3, id="eq-stdin-json"),
+]
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, stdin", CLOSED_PIPE_CASES)
+def test_a_closed_output_pipe_exits_141_quietly(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, stdin", CLOSED_PIPE_CASES)
+def test_a_closed_output_pipe_exits_141_quietly_in_a_process(argv, stdin, unbuffered):
+    # 141 is what a shell reports for a writer killed by SIGPIPE; with the
+    # output still buffered, the flush at exit must not fail either (exit 120)
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quandles", *argv], input=stdin.encode(), stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=30)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 LONG_WORD = [["y1", 1], ["y2", -1]] * 1500
 
 
