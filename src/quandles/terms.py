@@ -74,6 +74,8 @@ def letter_key(letter: str) -> tuple[int, int]:
 
 
 def standard_alphabet(n: int, include_x: bool = True) -> tuple[str, ...]:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     letters: list[str] = []
     if include_x:
         letters.append(X)

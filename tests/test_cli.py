@@ -500,6 +500,13 @@ def test_verify_rejects_negative_bound(capsys, suite, option):
     assert f"{option[2:].replace('-', '_')} must be >= 0" in err
 
 
+@pytest.mark.parametrize("suite", ["oracle", "theorem2", "theorem5", "iso-f_n", "iso-zxf_n", "inner"])
+def test_verify_rejects_a_negative_generator_count(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--n", "-1")
+    assert (code, out) == (2, "")
+    assert "n must be >= 0, got -1" in err
+
+
 CLOSED_PIPE_CASES = [
     pytest.param(["verify", "global"], "", id="verify"),
     pytest.param(["--gens", "1", "eq", "y1", "y1"], "", id="eq"),
