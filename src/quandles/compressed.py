@@ -41,7 +41,6 @@ from typing import Sequence
 
 from .terms import Term
 from .translate import QUANDLE, check_theory, conjugated_heads, fold
-from .words import GroupWord
 
 Entry = tuple[int, int]  # a symbol and a repeat count
 Stack = list[tuple[int, list[Entry]]]  # (level, entries), the seam's level last
@@ -85,21 +84,6 @@ class Table:
         """The one-letter word ``name^exponent``."""
         return self._symbol((0, name, exponent), 0, ()), self._symbol((0, name, -exponent), 0, ())
 
-    def expand(self, symbol: int) -> GroupWord:
-        """The letters that ``symbol`` spells."""
-        letters = {s: key[1:] for key, s in self._symbols.items() if key[0] == 0}
-        out = []
-        todo = [(symbol, 1)] if symbol else []
-        while todo:
-            s, k = todo.pop()
-            if k > 1:
-                todo.append((s, k - 1))
-            if self.parts[s]:
-                todo.extend(reversed(self.parts[s]))
-            else:
-                out.append(letters[s])
-        return tuple(out)
-
     # --- products --------------------------------------------------------
 
     def product(self, a: Word, b: Word) -> Word:
@@ -112,8 +96,8 @@ class Table:
             return a
         n = self._common_prefix(x_inv, y)
         kept_x, kept_y = self.length[x] - n, self.length[y] - n
-        top = self._join(self._prefix(x, kept_x), self._suffix(y, n))
-        inverse = self._join(self._prefix(y_inv, kept_y), self._suffix(x_inv, n))
+        top = self._join(self._cut(x, kept_x)[0], self._cut(y, n)[1])
+        inverse = self._join(self._cut(y_inv, kept_y)[0], self._cut(x_inv, n)[1])
         return top, inverse
 
     def _common_prefix(self, x: int, y: int) -> int:
@@ -160,59 +144,39 @@ class Table:
 
     # --- the hierarchy of a cut and joined word --------------------------
 
-    def _prefix(self, symbol: int, p: int) -> Stack:
-        """The first ``p`` letters of ``symbol`` as whole symbols of its
-        hierarchy, by level, highest first."""
+    def _cut(self, symbol: int, p: int) -> tuple[Stack, Stack]:
+        """The letters of ``symbol`` before its position ``p`` and those from
+        it on, each as whole symbols of its hierarchy, by level, highest
+        first; each level of the second is stored last to first."""
         level, length, parts = self.level, self.length, self.parts
+        whole = [(level[symbol], [(symbol, 1)])]
         if not p:
-            return []
+            return [], whole
         if p == length[symbol]:
-            return [(level[symbol], [(symbol, 1)])]
-        stack: Stack = []
+            return whole, []
+        before: Stack = []
+        after: Stack = []
         while p:
-            entries = []
-            for c, k in parts[symbol]:
-                size = length[c]
-                if p >= size * k:
-                    entries.append((c, k))
-                    p -= size * k
-                    continue
-                i, p = divmod(p, size)
-                if i:
-                    entries.append((c, i))
-                break
-            if entries:
-                stack.append((level[symbol] - 1, entries))
-            symbol = c
-        return stack
-
-    def _suffix(self, symbol: int, q: int) -> Stack:
-        """The letters of ``symbol`` past its first ``q``, as whole symbols of
-        its hierarchy, by level, highest first; each level's entries are
-        stored last to first."""
-        level, length, parts = self.level, self.length, self.parts
-        if not q:
-            return [(level[symbol], [(symbol, 1)])]
-        if q == length[symbol]:
-            return []
-        stack: Stack = []
-        while q:
             spelled = parts[symbol]
             for j, (c, k) in enumerate(spelled):
                 size = length[c]
-                if q >= size * k:
-                    q -= size * k
-                    continue
-                i, q = divmod(q, size)
-                rest = k - i - (1 if q else 0)
-                entries = list(reversed(spelled[j + 1 :]))
-                if rest:
-                    entries.append((c, rest))
-                break
-            if entries:
-                stack.append((level[symbol] - 1, entries))
+                if p < size * k:
+                    break
+                p -= size * k
+            i, p = divmod(p, size)
+            left = list(spelled[:j])
+            if i:
+                left.append((c, i))
+            right = list(spelled[:j:-1])
+            rest = k - i - (1 if p else 0)
+            if rest:
+                right.append((c, rest))
+            if left:
+                before.append((level[symbol] - 1, left))
+            if right:
+                after.append((level[symbol] - 1, right))
             symbol = c
-        return stack
+        return before, after
 
     def _join(self, left: Stack, right: Stack) -> int:
         """The top of the word spelled by ``left`` and then ``right``.
