@@ -98,7 +98,24 @@ class Node:
     right: "Term"
 
     def __repr__(self) -> str:
-        return f"Node({self.sign:+d}, {self.left!r}, {self.right!r})"
+        """``Node(sign, left, right)``, written from ``_spelling``: a sign
+        opens a node, and a finished child closes it with ``)`` if it was
+        the node's second, else is followed by ``, ``."""
+        pieces: list[str] = []
+        spelled: list[int] = []  # for each open node, how many children are written
+        for item in _spelling(self):
+            if type(item) is int:
+                pieces.append(f"Node({item:+d}, ")
+                spelled.append(0)
+                continue
+            pieces.append(f"Atom({item!r})")
+            while spelled and spelled[-1] == 1:
+                spelled.pop()
+                pieces.append(")")
+            if spelled:
+                spelled[-1] = 1
+                pieces.append(", ")
+        return "".join(pieces)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality, compared over an explicit stack of subterm
@@ -123,39 +140,36 @@ class Node:
         return True
 
     def __hash__(self) -> int:
-        """The hash of the term's prefix spelling: signs and letters in
-        pre-order, each left spine walked in a loop and the right children
-        waiting on an explicit stack.  Equal terms spell alike."""
-        spelling: list[Union[int, str]] = []
-        todo: list[Term] = [self]
-        while todo:
-            t = todo.pop()
-            while type(t) is Node:
-                spelling.append(t.sign)
-                todo.append(t.right)
-                t = t.left
-            spelling.append(t.letter)
-        return hash(tuple(spelling))
+        """The hash of the term's prefix spelling, ``_spelling``.  Equal terms
+        spell alike."""
+        return hash(tuple(_spelling(self)))
 
 
 Term = Union[Atom, Node]
 
 
-def size(t: Term) -> int:
-    """Number of constructors (atoms and nodes) in the term.
+def _spelling(t: Term) -> list[Union[int, str]]:
+    """The term's signs and letters in pre-order.
 
-    Walks each left spine in a loop, with the right children waiting on an
-    explicit stack, so terms of any depth are measured.
+    Each left spine is walked in a loop, with the right children waiting on
+    an explicit stack, so terms of any depth are spelled.
     """
-    count, todo = 0, [t]
+    spelling: list[Union[int, str]] = []
+    todo: list[Term] = [t]
     while todo:
         t = todo.pop()
-        while isinstance(t, Node):
-            count += 1
+        while type(t) is Node:
+            spelling.append(t.sign)
             todo.append(t.right)
             t = t.left
-        count += 1
-    return count
+        spelling.append(t.letter)
+    return spelling
+
+
+def size(t: Term) -> int:
+    """Number of constructors (atoms and nodes) in the term: the length of
+    its ``_spelling``."""
+    return len(_spelling(t))
 
 
 def left_of(t: Term) -> str:
@@ -166,15 +180,8 @@ def left_of(t: Term) -> str:
 
 
 def atoms_of(t: Term) -> set[str]:
-    """The letters of the atoms in the term, walked as in ``size``."""
-    letters, todo = set(), [t]
-    while todo:
-        t = todo.pop()
-        while isinstance(t, Node):
-            todo.append(t.right)
-            t = t.left
-        letters.add(t.letter)
-    return letters
+    """The letters of the atoms in the term, read from its ``_spelling``."""
+    return {item for item in _spelling(t) if type(item) is str}
 
 
 def subst(t: Term, s: Term, target: str) -> Term:

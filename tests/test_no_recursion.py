@@ -6,13 +6,21 @@ recursions whose depth is bounded by a size argument rather than by an
 input's depth.  It sees only calls written in the source: mutual recursion
 between two functions, and code that Python generates, are outside what it
 checks.  ``Node.__eq__`` and ``Node.__hash__`` are written in the source, so
-it checks them.
+it checks them.  The last test keeps the promise by behaviour: it runs each
+operation on terms 3000 deep, which also catches recursion that the source
+does not spell as a call, such as ``!r`` in an f-string.
 """
 
 import ast
+import sys
 from pathlib import Path
 
+import pytest
+
 import quandles
+from quandles.rewrite import rewrite_closure
+from quandles.terms import Atom, atoms_of, left_of, parse, render, size, subst, subst_many
+from quandles.translate import RACK
 
 # (module, function) -> why its depth is bounded
 BOUNDED = {
@@ -60,3 +68,33 @@ def test_the_guard_sees_direct_and_method_recursion():
         "def fine(t):\n    return other.fine(t)\n"
     )
     assert [name for name, _ in self_calls(ast.parse(source))] == ["walk", "visit"]
+
+
+DEEP = [  # text, repr and leftmost atom of a left chain and a right-nested term, 3000 operations each
+    ("x" + " |> y1" * 3000, "Node(+1, " * 3000 + "Atom('x')" + ", Atom('y1'))" * 3000, "x"),
+    ("y1 |> (" * 2999 + "y1 |> x" + ")" * 2999, "Node(+1, Atom('y1'), " * 3000 + "Atom('x')" + ")" * 3000, "y1"),
+]
+
+
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("text, spelled, leftmost", DEEP, ids=["left-chain", "right-nested"])
+def test_term_operations_run_on_deep_terms(default_recursion_limit, text, spelled, leftmost):
+    t, again = parse(text, 1), parse(text, 1)
+    assert repr(t) == spelled
+    assert render(t) == text
+    assert parse(render(t), 1) == t
+    assert size(t) == 6001
+    assert atoms_of(t) == {"x", "y1"}
+    assert left_of(t) == leftmost
+    assert hash(t) == hash(again)
+    assert t == again
+    assert subst(t, Atom("y2"), "x") == parse(text.replace("x", "y2"), 2)
+    assert subst_many(t, {"x": Atom("y1"), "y1": Atom("y2")}) == parse(text.replace("y1", "y2").replace("x", "y1"), 2)
+    assert rewrite_closure(t, RACK, 0) == {t}

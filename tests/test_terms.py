@@ -393,8 +393,8 @@ def test_subst_deep_terms():
         chain = Node(1 if i % 3 else -1, chain, Atom("y1"))
         nested = Node(1, Atom("y1"), nested)
     s = Node(1, Atom("y2"), Atom("x"))
-    # x stands left in the chain and right in the nested term; Node equality
-    # recurses, so the deep results are compared as text
+    # x stands left in the chain and right in the nested term; the deep
+    # results are compared as text
     for t, spelled in ((chain, "y2 |> x"), (nested, "(y2 |> x)")):
         assert terms.render(terms.subst(t, s, "x")) == terms.render(t).replace("x", spelled)
         assert terms.subst_many(t, {"y2": s}) is t
