@@ -108,6 +108,15 @@ def _eq_batch(args) -> int:
     if sys.stdin is None:  # started with stdin closed
         raise CliError("no standard input to read pairs from")
     out = sys.stdout
+
+    def write(pending: list[str]) -> None:
+        # started with stdout closed, the batch decides and writes nothing,
+        # as print does for the other commands
+        if out is not None:
+            out.write("".join(pending))
+            out.flush()
+        pending.clear()
+
     slots, comma = (JSON_SLOTS, ", ") if args.json else (TEXT_SLOTS, "")
     all_equal = True
     finished = False
@@ -138,9 +147,7 @@ def _eq_batch(args) -> int:
                     all_equal = False
                 pending.append(separator + slots[equal])
                 separator = comma
-            out.write("".join(pending))
-            out.flush()
-            pending.clear()
+            write(pending)
         finished = True
     finally:
         if args.json:
@@ -148,8 +155,7 @@ def _eq_batch(args) -> int:
             if errors:
                 pending.append(f', "errors": {json.dumps(errors)}')
             pending.append("}\n")
-        out.write("".join(pending))
-        out.flush()
+        write(pending)
     if errors:
         return 2
     return 0 if all_equal else 1

@@ -106,6 +106,35 @@ def test_eq_stdin_closed_is_an_input_error(capsys, monkeypatch, json_flag):
     assert (code, out, err) == (2, "", "error: no standard input to read pairs from\n")
 
 
+CLOSED_STDOUT_BATCHES = [  # stdin, exit code, stderr of the text form
+    ("y1\ty1\ny1 |> y1\ty1\n", 0, ""),
+    ("y1\ty1\ny1\tx\n", 1, ""),
+    ("y1\ty1\nno tab\n", 2, "error: line 2: expected two terms separated by a tab\n"),
+]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("text, code, err", CLOSED_STDOUT_BATCHES)
+def test_eq_stdin_with_stdout_closed_decides_and_writes_nothing(capsys, monkeypatch, json_flag, text, code, err):
+    # a process started with stdout closed has sys.stdout None, and the
+    # one-shot commands print nothing there and exit with their verdict
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdout", None)
+    assert main(["--gens", "1", *json_flag, "eq", "--stdin"]) == code
+    assert capsys.readouterr().err == ("" if json_flag else err)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("text, code, err", CLOSED_STDOUT_BATCHES)
+def test_eq_stdin_with_stdout_closed_in_a_process(json_flag, text, code, err):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "quandles", "--gens", "1", *json_flag, "eq", "--stdin"],
+                          input=text.encode(), stderr=subprocess.PIPE, env=env, timeout=30,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr.decode()) == (code, "" if json_flag else err)
+
+
 class Trickle(io.RawIOBase):
     """Raw bytes handed out 1 to 7 at a time, in a fixed cycle from ``phase``."""
 
