@@ -133,16 +133,13 @@ def _eq_batch(args) -> int:
                 try:
                     if "\t" not in line:
                         raise CliError("expected two terms separated by a tab")
-                    left_text, right_text = line.split("\t", 1)
-                    left = _parse_term(left_text, args)
-                    right = _parse_term(right_text, args)
+                    left, right = line.split("\t", 1)
+                    equal = decide.text_equal(left, right, args.gens, args.theory, allow_aux=not args.no_aux)
                 except (CliError, ValueError) as exc:
                     equal = None
                     errors.append({"line": lineno, "message": str(exc)})
                     if not args.json:
                         print(f"error: line {lineno}: {exc}", file=sys.stderr)
-                else:
-                    equal = decide.term_equal(left, right, args.theory)
                 if not equal:
                     all_equal = False
                 pending.append(separator + slots[equal])
@@ -162,9 +159,7 @@ def _eq_batch(args) -> int:
 
 
 def cmd_eq(args) -> Answer:
-    left = _parse_term(args.term1, args)
-    right = _parse_term(args.term2, args)
-    equal = decide.term_equal(left, right, args.theory)
+    equal = decide.text_equal(args.term1, args.term2, args.gens, args.theory, allow_aux=not args.no_aux)
     return (0 if equal else 1), {"equal": equal}, "equal" if equal else "not-equal"
 
 

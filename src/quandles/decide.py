@@ -16,14 +16,19 @@ at a cost polynomial in the size of the terms, so "equal" always rests on the
 normal forms themselves.  Both are one fold (``translate.fold``) over two
 groups, which translates each distinct subterm of the pair once.  The
 decider is total over any alphabet, including the auxiliary constants.
+
+``text_equal`` decides a pair of term texts.  It builds the compact keys
+while parsing (``translate.text_keys``), and wherever that pass gives up, it
+parses the texts and asks ``term_equal``.
 """
 
 from __future__ import annotations
 
-from .terms import Term
-from .translate import QUANDLE, RACK, THEORIES, TailTooLong, compact_keys, model_keys
+from .terms import Term, UnknownGeneratorError, _Malformed, parse
+from .translate import QUANDLE, RACK, THEORIES, TailTooLong, compact_keys, model_keys, text_keys
+from .words import CodebookFull
 
-__all__ = ["QUANDLE", "RACK", "THEORIES", "term_equal"]
+__all__ = ["QUANDLE", "RACK", "THEORIES", "term_equal", "text_equal"]
 
 
 def term_equal(s: Term, t: Term, theory: str) -> bool:
@@ -40,6 +45,20 @@ def term_equal(s: Term, t: Term, theory: str) -> bool:
         from .compressed import compressed_keys
 
         key_s, key_t = compressed_keys((s, t), theory)
+    return key_s == key_t
+
+
+def text_equal(s: str, t: str, n: int, theory: str, allow_aux: bool = True) -> bool:
+    """``term_equal(parse(s, n, allow_aux), parse(t, n, allow_aux), theory)``,
+    decided in one pass over each text where it can be
+    (``translate.text_keys``).  Wherever that pass gives up, on an error in
+    the text, a 129th name or a long tail, the texts are parsed and decided
+    as terms, so the answer and every error are those of ``parse`` and
+    ``term_equal``."""
+    try:
+        key_s, key_t = text_keys((s, t), n, allow_aux, theory)
+    except (_Malformed, UnknownGeneratorError, CodebookFull, TailTooLong):
+        return term_equal(parse(s, n, allow_aux), parse(t, n, allow_aux), theory)
     return key_s == key_t
 
 

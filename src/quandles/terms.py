@@ -17,7 +17,7 @@ import functools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 X = "x"
 X0 = "x0"
@@ -279,16 +279,22 @@ class _Malformed(Exception):
         self.index = index
 
 
-def _build(tokens: list[str], n: int, allow_aux: bool) -> Term:
-    """Shift-reduce the token list into a term.
+T = TypeVar("T")  # what ``_build`` builds: a term, or a normal form
 
-    ``left`` is the term built so far at the current parenthesis depth and
+
+def _build(tokens: list[str], atom: Callable[[str], T], node: Callable[[int, T, T], T]) -> T:
+    """Shift-reduce the token list in the algebra given by ``atom``, which
+    checks an atom token and returns its value, and ``node(sign, left,
+    right)``, which combines two values: ``parse`` builds a term with
+    ``Node``, ``translate.text_keys`` a normal form.
+
+    ``left`` is the value built so far at the current parenthesis depth and
     ``sign`` the operator waiting for its right operand; ``(`` saves both on
     ``stack`` and ``)`` restores them.  Errors come in the order a
     left-to-right recursive descent would meet them.
     """
-    stack: list[tuple[Term | None, int]] = []
-    left: Term | None = None
+    stack: list[tuple[T | None, int]] = []
+    left: T | None = None
     sign = 0
     i = 0
     end = len(tokens)
@@ -305,14 +311,14 @@ def _build(tokens: list[str], n: int, allow_aux: bool) -> Term:
         if tok[0] not in "xy":
             raise _Malformed(f"expected an atom or '(', got {_OP_NAMES.get(tok, tok)!r}", i - 1)
         try:
-            factor = _atom(tok, n, allow_aux)
+            factor = atom(tok)
         except _Malformed as exc:
             exc.index = i - 1
             raise
         # a factor is complete: attach it, then close parentheses until an
         # operator or the end
         while True:
-            left = factor if left is None else Node(sign, left, factor)
+            left = factor if left is None else node(sign, left, factor)
             if i == end:
                 if stack:
                     raise _Malformed("expected ')'", i)
@@ -330,20 +336,16 @@ def _build(tokens: list[str], n: int, allow_aux: bool) -> Term:
             left, sign = stack.pop()
 
 
-@functools.lru_cache(maxsize=1024)
-def _atom(tok: str, n: int, allow_aux: bool) -> Atom:
-    """Validate one atom token; ``y`` indices are normalised (``y01`` is ``y1``).
-
-    The last 1024 atoms that passed are remembered, keyed by all that the
-    check reads; an error is raised anew each time, with index -1 for the
-    caller to set.
-    """
+def _letter(tok: str, n: int, allow_aux: bool) -> str:
+    """Check one atom token and return its letter; ``y`` indices are
+    normalised (``y01`` is ``y1``).  An error has index -1, for the caller
+    to set."""
     if tok == X:
-        return Atom(X)
+        return X
     if tok in (X0, X1):
         if not allow_aux:
             raise _Malformed(f"auxiliary atom {tok!r} not allowed", -1)
-        return Atom(tok)
+        return tok
     if tok[0] == "y" and len(tok) > 1:
         try:
             i = int(tok[1:])
@@ -351,8 +353,20 @@ def _atom(tok: str, n: int, allow_aux: bool) -> Atom:
             raise _Malformed(f"generator index of {len(tok) - 1} digits is too long", -1) from None
         if not 1 <= i <= n:
             raise UnknownGeneratorError(i, n)
-        return Atom(gen(i))
+        return gen(i)
     raise _Malformed(f"bad atom {tok!r}", -1)
+
+
+@functools.lru_cache(maxsize=16)
+def _atom(n: int, allow_aux: bool, value: Callable[[str], T]) -> Callable[[str], T]:
+    """The atom check for ``n`` and ``allow_aux``: a function from an atom
+    token to ``value`` of its letter (``_letter``).
+
+    It remembers the last 1024 tokens that passed, and is itself remembered
+    for the last 16 keys, so a token is checked once, not once per call; an
+    error is raised anew each time.
+    """
+    return functools.lru_cache(maxsize=1024)(lambda tok: value(_letter(tok, n, allow_aux)))
 
 
 def parse(text: str, n: int, allow_aux: bool = True) -> Term:
@@ -372,7 +386,7 @@ def parse(text: str, n: int, allow_aux: bool = True) -> Term:
     the term is built once, and only a failed build scans the text again.
     """
     try:
-        return _build(_TOKEN.findall(text), n, allow_aux)
+        return _build(_TOKEN.findall(text), _atom(n, allow_aux, Atom), Node)
     except (_Malformed, UnknownGeneratorError) as exc:
         error = exc
     starts: list[int] = []

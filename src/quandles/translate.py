@@ -10,8 +10,10 @@ recursion, by one of two walks.  ``_compact_images``, the hot path, builds
 tails in place as compact words (see ``words``), one integer code per signed
 letter over a codebook of the call's own; the deciders compare them as they
 are, and ``rack_image`` and ``normal_form`` decode them into tuples of
-signed letters.  ``fold`` builds tails in any group given by its operations,
-translating each distinct subterm once; the keys past the wall below use it.
+signed letters.  ``text_keys`` builds the same tails from text, in the
+parser's loop, so that no term is built.  ``fold`` builds tails in any group
+given by its operations, translating each distinct subterm once; the keys
+past the wall below use it.
 
 The free-quandle normal form is a quotient of the rack one: a term stands
 for the conjugate ``tail^-1 head tail``, as in the paper's direct translation
@@ -38,7 +40,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from . import words
-from .terms import Node, Term
+from .terms import _TOKEN, Node, Term, _atom, _build
 from .words import CompactWord, GroupWord
 
 QUANDLE = "quandle"
@@ -162,11 +164,75 @@ def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactW
     Cheaper than ``normal_form``, since the words stay compact.  Raises
     ``TailTooLong`` instead of building a tail longer than
     ``LETTERS_PER_NODE`` letters per node."""
+    return _keys(*_compact_images(terms, capped=True), theory)
+
+
+def _keys(codes: dict[str, int], mask: int, images: list[tuple[str, CompactWord]],
+          theory: str) -> list[tuple[str, CompactWord]]:
+    """The keys in ``theory`` of rack normal forms built over ``codes``: the
+    forms themselves, or for quandles each head with the conjugate."""
     check_theory(theory)
-    codes, mask, images = _compact_images(terms, capped=True)
     if theory == RACK:
         return images
     return [(head, words.conjugate_onto(tail[:0], tail, codes[head], mask)) for head, tail in images]
+
+
+def _atom_image(letter: str) -> tuple[str, bytes]:
+    """The rack normal form of an atom: its letter and the empty tail, which
+    is shared, so it is never written to."""
+    return letter, b""
+
+
+def text_keys(texts: Sequence[str], n: int, allow_aux: bool, theory: str) -> list[tuple[str, CompactWord]]:
+    """Keys of the terms ``parse(text, n, allow_aux)`` that agree where
+    those of ``compact_keys`` do, built while the texts are parsed, so that
+    no term is built.
+
+    The parser's loop (``terms._build``) runs with a rack normal form as its
+    value: an atom is its letter with the empty tail, and ``s |>^e t``
+    attaches the conjugate ``w^-1 h^e w`` of the image ``(h, w)`` of ``t`` to
+    the tail of ``s``, as ``_compact_images`` does.  All the texts share one
+    codebook of one-byte codes.  Text that ``parse`` rejects raises the
+    parser's own error, unlocated; a 129th name raises
+    ``words.CodebookFull``, and a tail longer than ``LETTERS_PER_NODE``
+    letters per node attached so far ``TailTooLong``.
+    """
+    new, mask, room = words.WIDTHS[0]
+    conjugate_onto = words.conjugate_onto
+    codes: dict[str, int] = {}
+    met = 0
+
+    def node(sign: int, left: tuple[str, CompactWord], right: tuple[str, CompactWord]) -> tuple[str, CompactWord]:
+        nonlocal met
+        met += 1
+        head, tail = left
+        h, w = right
+        c = codes.get(h)
+        if c is None:
+            c = codes[h] = len(codes)
+            if c == room:
+                raise words.CodebookFull
+        if sign < 0:
+            c ^= mask
+        tail = tail or new()  # not an atom's tail, which is shared
+        if w:
+            conjugate_onto(tail, w, c, mask)
+            if len(tail) > LETTERS_PER_NODE * met:
+                raise TailTooLong
+        elif tail and tail[-1] == c ^ mask:
+            tail.pop()
+        else:
+            tail.append(c)
+        return head, tail
+
+    leaf = _atom(n, allow_aux, _atom_image)
+    images = []
+    for text in texts:
+        head, tail = _build(_TOKEN.findall(text), leaf, node)
+        if codes.setdefault(head, len(codes)) == room:  # quandle keys conjugate by it
+            raise words.CodebookFull
+        images.append((head, tail or new()))  # a quandle key extends a slice of the tail
+    return _keys(codes, mask, images, theory)
 
 
 def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],

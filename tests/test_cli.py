@@ -392,7 +392,7 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("decider failed")
 
-    monkeypatch.setattr(decide, "term_equal", broken)
+    monkeypatch.setattr(decide, "text_equal", broken)
     code, out, err = run(capsys, "--gens", "1", "eq", "y1", "y1")
     assert code == 3
     assert not out
@@ -436,14 +436,14 @@ def test_eq_stdin_answers_short_terms_without_the_model(capsys, monkeypatch, tes
 
 @pytest.mark.parametrize("mode", ["text", "json"])
 def test_eq_stdin_internal_error_stops_the_batch(capsys, monkeypatch, mode):
-    decided = decide.term_equal
+    decided = decide.text_equal
 
-    def fails_on_line_2(s, t, theory):
-        if render(s) == "y1":
+    def fails_on_line_2(s, t, *args, **kwargs):
+        if s == "y1":
             raise RuntimeError("boom")
-        return decided(s, t, theory)
+        return decided(s, t, *args, **kwargs)
 
-    monkeypatch.setattr(decide, "term_equal", fails_on_line_2)
+    monkeypatch.setattr(decide, "text_equal", fails_on_line_2)
     # a buffered stdin is read in one chunk, so the slot of line 1 is still
     # pending when line 2 fails: it must be written all the same
     for stdin in STDINS:

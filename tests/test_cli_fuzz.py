@@ -18,7 +18,12 @@ from test_cli import Trickle
 from quandles import suites
 from quandles.cli import main
 
-TERM_FRAGMENTS = ["x", "x0", "x1", "y1", "y2", "y3", "y0", "y", "y²", "z", " |> ", " |>~ ", "|", "~", "(", ")", " ", "\t"]
+TERM_FRAGMENTS = [
+    "x", "x0", "x1", "y1", "y2", "y3", "y0", "y", "y²", "z", " |> ", " |>~ ", "|", "~", "(", ")", " ", "\t",
+    # right-nested, y1 |> (y2 |> (y1 |> ...)) with 14 atoms: past the cap of
+    # eq's compact keys, and short enough for nf to expand
+    "(" + "".join(f"y{1 + i % 2} |> (" for i in range(12)) + "y1 |> y2" + ")" * 13,
+]
 JSON_FRAGMENTS = [
     '{"theory": "quandle", "word": []}',
     '{"theory": "quandle", "word": [["y1", 1], ["y2", -1]]}',

@@ -291,9 +291,9 @@ def test_threads_answer_as_a_serial_run():
 
 
 def test_threads_parse_as_a_serial_run():
-    # four threads fill the parser's atom cache at once; keyed together, the
-    # parsed terms meet more than 128 names, so their walk restarts at the
-    # 4-byte width
+    # four threads fill the parser's atom caches at once, for terms and for
+    # the text pass; keyed together, the parsed terms meet more than 128
+    # names, so their walk restarts at the 4-byte width
     rng = random.Random(2027)
     texts = [render(random_term(rng, ALPHABETS[200], 31)) for _ in range(40)] + [
         "y1 |>", "(y1 |> y2", "y1 |> |> y2", "y1 ) y2", "y1 |> y²", "x |> q", "y0 |> x", "y201 |> y1",
@@ -309,7 +309,9 @@ def test_threads_parse_as_a_serial_run():
                 out.append((type(exc).__name__, str(exc), getattr(exc, "position", None)))
             else:
                 out.append(render(parsed[-1]))
-        return out, [translate.compact_keys(parsed, theory) for theory in (QUANDLE, RACK)]
+        decided = [_outcome(decide.text_equal, s, t, 200, theory) for s, t in zip(texts, texts[1:])
+                   for theory in (QUANDLE, RACK)]
+        return out, [translate.compact_keys(parsed, theory) for theory in (QUANDLE, RACK)], decided
 
     start = threading.Barrier(4)
 
@@ -321,12 +323,97 @@ def test_threads_parse_as_a_serial_run():
     with ThreadPoolExecutor(4) as pool:
         threaded = [f.result() for f in [pool.submit(together) for _ in range(4)]]
     serial = answers()
-    rendered, keys = serial
+    rendered, keys, decided = serial
+    assert decided == [_outcome(_parsed_and_decided, s, t, 200, theory) for s, t in zip(texts, texts[1:])
+                       for theory in (QUANDLE, RACK)]
     assert rendered[:40] == texts[:40]
     kinds = ["TermSyntaxError"] * 6 + ["UnknownGeneratorError"] * 2 + ["TermSyntaxError"]
     assert [answer[0] for answer in rendered[40:]] == kinds
     assert all(type(tail) is not bytearray for theory_keys in keys for _, tail in theory_keys)
     assert all(result == serial for result in threaded)
+
+
+# --- deciding from text: one pass, or parse and term_equal -----------------
+
+def _outcome(decider, *args):
+    """What ``decider(*args)`` gives: its verdict, or the type, message and
+    position of the ``ValueError`` it raises."""
+    try:
+        return decider(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _parsed_and_decided(s, t, n, theory, allow_aux=True):
+    return decide.term_equal(parse(s, n, allow_aux), parse(t, n, allow_aux), theory)
+
+
+@pytest.fixture(scope="module")
+def term_fragments():
+    # imported here, not at the top: test_cli_fuzz imports test_cli, which imports this module
+    from test_cli_fuzz import TERM_FRAGMENTS
+
+    return TERM_FRAGMENTS
+
+
+@st.composite
+def _text_pairs(draw, fragments):
+    """Two term texts and a generator count: random terms over 4 or 200
+    names, the second equal to the first, a near miss of it or another term;
+    ``fragments`` glued together, most of them malformed; right-nested
+    terms, which cross the cap from k = 13 on; or two chains that meet a
+    129th name in their tails."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("names", "fragments", "right-nested", "129 names")))
+    if kind == "129 names":
+        # codes 0 to 127 fill a byte; code 128 would be the byte of y1^-1,
+        # the letter that ends t where s has y129
+        tail = [(gen(i), 1) for i in range(1, 129)]
+        return render(_chain(gen(130), tail + [(gen(129), 1)])), render(_chain(gen(130), tail + [(gen(1), -1)])), 130
+    if kind == "fragments":
+        glued = st.lists(st.sampled_from(fragments), max_size=8).map("".join)
+        return draw(glued), draw(glued), draw(st.integers(0, 3))
+    if kind == "right-nested":
+        k = draw(st.integers(2, 18))
+        s = right_nested(k)
+        others = (s, right_nested(k, inner_sign=-1), Node(-1, Node(1, s, Atom(gen(1))), Atom(gen(1))))
+        return render(s), render(draw(st.sampled_from(others))), k
+    letters = draw(st.sampled_from((ALPHABETS[4], ALPHABETS[200])))
+    s = draw(_balanced_terms(letters))
+    others = (s, _rewritten(s, RACK, rng, 2), _flipped(s, rng), Node(1, s, s), draw(_balanced_terms(letters)))
+    t = draw(st.sampled_from(others))
+    if letters is ALPHABETS[200] and draw(st.booleans()):
+        s = _padded(s, COVERS[200])  # past the 128 names of one-byte codes
+    return render(s), render(t), draw(st.sampled_from((len(letters) - 2, len(letters))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_text_equal_answers_as_parse_and_term_equal(term_fragments, data):
+    # the same verdict, or the same error with the same message and position
+    s, t, n = data.draw(_text_pairs(term_fragments))
+    args = (s, t, n, data.draw(st.sampled_from((QUANDLE, RACK))), data.draw(st.booleans()))
+    assert _outcome(decide.text_equal, *args) == _outcome(_parsed_and_decided, *args)
+
+
+def _gives_up(keys, *args):
+    try:
+        keys(*args)
+    except translate.TailTooLong:
+        return True
+    return False
+
+
+def test_the_text_pass_gives_up_where_the_term_walk_does():
+    # the tail of a right-nested term doubles with each level; both walks
+    # give up at the same depth, and there text_equal falls back
+    seen = set()
+    for k in range(2, 19):
+        t = right_nested(k)
+        gives_up = _gives_up(translate.compact_keys, (t,), RACK)
+        assert _gives_up(translate.text_keys, (render(t),), k, True, RACK) == gives_up
+        seen.add(gives_up)
+    assert seen == {True, False}
 
 
 # --- the model in SL2(F_p), and the deciders' stop ---------------------------
@@ -511,6 +598,15 @@ def _expand(table, symbol):
         for c, k in reversed(table.parts[s]):
             todo.extend([c] * k)
     return tuple(out)
+
+
+def test_compressed_tails_of_right_nested_terms_expand_to_the_rack_tails():
+    # the reader where tails double with each level
+    for k in range(2, 19):
+        t = right_nested(k)
+        table = compressed.Table()
+        ((head, tail),) = _compressed_images(table, [t])
+        assert (head, _expand(table, tail[0])) == translate.rack_image(t)
 
 
 def _spelled(table, word):

@@ -20,7 +20,8 @@ import pytest
 import quandles
 from quandles.rewrite import rewrite_closure
 from quandles.terms import Atom, atoms_of, left_of, parse, render, size, subst, subst_many
-from quandles.translate import RACK
+from quandles.decide import text_equal
+from quandles.translate import RACK, THEORIES
 
 # (module, function) -> why its depth is bounded
 BOUNDED = {
@@ -98,3 +99,8 @@ def test_term_operations_run_on_deep_terms(default_recursion_limit, text, spelle
     assert subst(t, Atom("y2"), "x") == parse(text.replace("x", "y2"), 2)
     assert subst_many(t, {"x": Atom("y1"), "y1": Atom("y2")}) == parse(text.replace("y1", "y2").replace("x", "y1"), 2)
     assert rewrite_closure(t, RACK, 0) == {t}
+    # the right-nested text crosses the cap and falls back to the parsed
+    # terms; its partner differs in one atom, and the model tells them apart
+    partner = text if leftmost == "x" else text.replace("x", "y1")
+    for theory in THEORIES:
+        assert text_equal(text, partner, 1, theory) == (partner == text)
