@@ -24,7 +24,9 @@ import sys
 from functools import partial
 from typing import Iterator
 
-from . import decide, isotropy, suites, translate, words
+# isotropy and suites are imported by the commands that run them, so that
+# eq, the batch path, starts without them (or dataclasses, which they import)
+from . import decide, translate, words
 from .decide import QUANDLE, RACK
 from .terms import Term, parse, render
 
@@ -41,6 +43,8 @@ def _parse_term(text: str, args) -> Term:
 
 
 def _parse_elem(text: str, args):
+    from . import isotropy
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -174,6 +178,8 @@ def cmd_nf(args) -> Answer:
 
 
 def cmd_canon(args) -> Answer:
+    from . import isotropy
+
     t = _parse_term(args.term, args)
     elem = isotropy.canon(t, args.theory)
     if elem is None:
@@ -182,6 +188,8 @@ def cmd_canon(args) -> Answer:
 
 
 def cmd_mul(args) -> Answer:
+    from . import isotropy
+
     a = _parse_elem(args.elem1, args)
     b = _parse_elem(args.elem2, args)
     elem = isotropy.mul(a, b)
@@ -189,11 +197,15 @@ def cmd_mul(args) -> Answer:
 
 
 def cmd_inv(args) -> Answer:
+    from . import isotropy
+
     elem = isotropy.invert(_parse_elem(args.elem, args))
     return 0, partial(isotropy.elem_to_json, elem), isotropy.elem_to_text(elem)
 
 
 def cmd_apply(args) -> Answer:
+    from . import isotropy
+
     elem = _parse_elem(args.elem, args)
     images = [_parse_term(text, args) for text in args.images]
     q = _parse_term(args.arg, args)
@@ -202,6 +214,8 @@ def cmd_apply(args) -> Answer:
 
 
 def cmd_inner_check(args) -> Answer:
+    from . import isotropy
+
     images = [_parse_term(text, args) for text in args.images]
     witness = isotropy.inner_witness(images, args.gens, args.theory)
     if witness is None:
@@ -231,6 +245,8 @@ def usable_cpus() -> int:
 def cmd_verify(args) -> Answer:
     """Run a suite; ``oracle``, ``theorem2`` and ``theorem5`` split their terms
     over every CPU this process may use."""
+    from . import suites
+
     suite = suites.SUITES.get(args.suite)
     if suite is None:
         raise CliError(f"unknown suite {args.suite!r}; choose from {', '.join(suites.SUITE_NAMES)}")
@@ -246,6 +262,18 @@ def cmd_verify(args) -> Answer:
         bounds[key] = value
     report = suites.run_suite(args.suite, theory=args.theory, seed=args.seed, workers=usable_cpus(), **bounds)
     return (0 if report.ok else 1), report.to_json(), report.to_text()
+
+
+class SuiteHelpFormatter(argparse.HelpFormatter):
+    """Help for ``verify``, whose ``SUITE`` argument lists the suite names;
+    the suite registry is imported only when help is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.dest != "suite":
+            return action.help
+        from . import suites
+
+        return f"one of: {', '.join(suites.SUITE_NAMES)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("images", nargs="*", metavar="TERM")
     p.set_defaults(func=cmd_inner_check)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", metavar="SUITE",
-                   help=f"one of: {', '.join(suites.SUITE_NAMES)}")
+    p = sub.add_parser("verify", help="run a named verification suite", formatter_class=SuiteHelpFormatter)
+    p.add_argument("suite", metavar="SUITE", help="one of the suites")
     for flag, key in BOUND_FLAGS.items():
         p.add_argument(flag, type=int, default=None, dest=key,
                        help="generator count of the sweep" if flag == "--n" else None)

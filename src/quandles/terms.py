@@ -9,6 +9,10 @@ Atoms come from a fixed alphabet: the distinguished constant ``x``, two
 auxiliary constants ``x0``/``x1`` used when checking that a term commutes with
 the operations, and numbered generators ``y1``, ``y2``, ...  Letters are plain
 strings; structural equality of letters is string equality.
+
+``Atom`` and ``Node`` are immutable classes with ``__slots__``, written by
+hand rather than as dataclasses: building a node is the parser's inner step,
+and importing ``dataclasses`` would put ``inspect`` on every launch.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 X = "x"
@@ -83,19 +86,57 @@ def standard_alphabet(n: int, include_x: bool = True) -> tuple[str, ...]:
     return tuple(letters)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    letter: str
+class _Frozen:
+    """Immutability for the term classes: their slots are set once, in
+    ``__init__``, through the slot descriptors, and every later assignment
+    or deletion raises ``AttributeError``.  ``__reduce__`` rebuilds an
+    instance from its constructor's arguments, the fields that
+    ``__match_args__`` lists, so ``pickle`` and ``copy`` never assign."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Atom(_Frozen):
+    """A named constant."""
+
+    __slots__ = ("letter",)
+    __match_args__ = ("letter",)
+
+    def __init__(self, letter: str) -> None:
+        _set_letter(self, letter)
 
     def __repr__(self) -> str:
         return f"Atom({self.letter!r})"
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Atom:
+            return NotImplemented
+        return self.letter == other.letter
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Node:
-    sign: int  # +1 for |>, -1 for |>~
-    left: "Term"
-    right: "Term"
+    def __hash__(self) -> int:
+        return hash((self.letter,))
+
+
+class Node(_Frozen):
+    """An operation applied to two terms: ``left |> right`` (sign +1) or
+    ``left |>~ right`` (sign -1)."""
+
+    __slots__ = ("sign", "left", "right")
+    __match_args__ = ("sign", "left", "right")
+
+    def __init__(self, sign: int, left: "Term", right: "Term") -> None:
+        _set_sign(self, sign)
+        _set_left(self, left)
+        _set_right(self, right)
 
     def __repr__(self) -> str:
         """``Node(sign, left, right)``, written from ``_spelling``: a sign
@@ -146,6 +187,11 @@ class Node:
 
 
 Term = Union[Atom, Node]
+
+_set_letter = Atom.letter.__set__
+_set_sign = Node.sign.__set__
+_set_left = Node.left.__set__
+_set_right = Node.right.__set__
 
 
 def _spelling(t: Term) -> list[Union[int, str]]:

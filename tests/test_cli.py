@@ -10,7 +10,7 @@ import pytest
 
 from test_decide import right_nested
 
-from quandles import cli, decide, isotropy
+from quandles import cli, decide, isotropy, suites
 from quandles.cli import main, stdin_chunks
 from quandles.terms import render
 
@@ -325,6 +325,29 @@ def test_verify_suite(capsys):
     code, out, _ = run(capsys, "--theory", "rack", "--json", "verify", "global", "--max-size", "5")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_help_lists_the_suites_in_order(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "-h"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"SUITE one of: {', '.join(suites.SUITE_NAMES)} options:" in help_text
+
+
+# what one eq launch must not load: the layers it never runs, and dataclasses
+NOT_LOADED_BY_EQ = ("quandles.isotropy", "quandles.rewrite", "quandles.suites", "quandles.strides",
+                    "quandles.compressed", "dataclasses")
+
+
+def test_eq_loads_only_the_deciding_layers():
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    script = ("import sys; from quandles import cli; "
+              "code = cli.main(['--gens', '1', 'eq', 'y1', 'y1']); "
+              f"print(code, [name for name in {NOT_LOADED_BY_EQ!r} if name in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.stdout, proc.stderr) == ("equal\n0 []\n", "")
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):

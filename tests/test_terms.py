@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 
@@ -303,6 +305,44 @@ def test_letter_order_and_generator_indices():
 def test_repr_spells_out_the_tree():
     t = Node(-1, Node(1, Atom("x"), Atom("y1")), Atom("y2"))
     assert repr(t) == "Node(-1, Node(+1, Atom('x'), Atom('y1')), Atom('y2'))"
+
+
+# --- the term classes: immutable values with slots -------------------------
+
+SMALL = Node(-1, Node(1, Atom("x"), Atom("y1")), Atom("x0"))
+
+
+@pytest.mark.parametrize("t", [SMALL, Atom("y2")])
+@pytest.mark.parametrize("round_trip", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy])
+def test_terms_survive_pickle_and_copy(t, round_trip):
+    again = round_trip(t)
+    assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
+    assert type(again) is type(t)
+
+
+@pytest.mark.parametrize("t, field", [(SMALL, "sign"), (SMALL, "left"), (SMALL, "right"), (Atom("x"), "letter")])
+def test_term_fields_cannot_be_assigned_or_deleted(t, field):
+    before = repr(t)
+    with pytest.raises(AttributeError):
+        setattr(t, field, getattr(t, field))
+    with pytest.raises(AttributeError):
+        delattr(t, field)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert repr(t) == before
+
+
+def test_terms_have_no_instance_dict():
+    for t in (SMALL, Atom("x")):
+        assert not hasattr(t, "__dict__")
+
+
+def test_atom_hash_equality_and_repr():
+    assert hash(Atom("x")) == hash(("x",))
+    assert Atom("y1") == Atom("y1") != Atom("y2")
+    assert Atom("x") != "x" and Atom("x") != Node(1, Atom("x"), Atom("x"))
+    assert repr(Atom("x0")) == "Atom('x0')"
+    assert isinstance(SMALL.left, Node) and isinstance(SMALL.right, Atom)
 
 
 # --- rendering -------------------------------------------------------------
