@@ -10,15 +10,19 @@ deterministic-signature method (Mehlhorn, Sundar and Uhrig, Algorithmica
 time (Lohrey, SIAM J. Comput. 2006).
 
 The hierarchy of a word is fixed by the word alone.  Level 0 holds its
-letters.  An even level is cut into maximal runs, each of which becomes a
-symbol ``(base, count)`` one level up; an odd level, where no two neighbours
-are equal, is cut into blocks, each starting at the first position or at a
+letters.  An even level is cut into maximal runs, each of two or more of
+which becomes a symbol ``(base, count)`` one level up, while a run of one
+goes up as the symbol it is; an odd level, where no two neighbours are
+equal, is cut into blocks, each starting at the first position or at a
 local minimum of a hashed priority of ``(level, symbol)``, and each block
-becomes a symbol one level up.  A local minimum has larger neighbours on both
-sides, so no two are adjacent, and since the last position is never cut, a
-block step leaves at most half of a word of two or more symbols, rounded up.
-The first level of a single symbol is the top.  Symbols are keyed with their
-level, so equal keys are equal strings at equal levels.
+becomes a symbol one level up.  A local minimum has larger neighbours on
+both sides, so no two are adjacent, and since the last position is never
+cut, a block step leaves at most half of a word of two or more symbols,
+rounded up.  The first level of a single symbol is the top.  Symbols are
+keyed with their level, so equal keys are equal strings at equal levels.
+An odd level may hold symbols made one level lower, which spell themselves
+there, so a word cut into whole symbols is kept as a stack of them tagged
+with their level in the hierarchy, not with their own.
 
 Whether a position is cut depends on its neighbours only, so the hierarchy
 of a concatenation differs from those of its parts only near the seam.  A
@@ -27,12 +31,16 @@ product ``A * B`` of reduced words cancels the longest common prefix of
 hierarchy of ``A[:-n] * B[n:]`` is then rebuilt from the symbols of ``A``
 and ``B`` that the seam does not reach, re-parsing a window of a few symbols
 per level.  A hierarchy is not the mirror image of its inverse's, so every
-word is carried as the pair of its top and its inverse's top.
+word is carried as the pair of its top and its inverse's top.  A conjugate
+``w^-1 c w`` by a letter ``c`` needs no search for what cancels: with the
+leading run of ``c`` or ``c^-1`` read off ``w``'s first symbol of level 1,
+it is ``u^-1 c u`` for the rest ``u`` of ``w``, rebuilt in one pass around
+the letter, and so is its inverse ``u^-1 c^-1 u``.
 
 The normal forms are built by ``translate.fold`` in the group of these
-words: ``Table.product`` multiplies, and swapping the pair inverts; the
-quandle keys conjugate with the same two (``translate.conjugated_heads``).
-Nothing is cached between calls.
+words: ``Table.product`` multiplies and ``Table.conjugate`` conjugates a
+letter, both for the tails and for the quandle keys
+(``translate.conjugated_heads``).  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .terms import Term
 from .translate import QUANDLE, check_theory, conjugated_heads, fold
 
 Entry = tuple[int, int]  # a symbol and a repeat count
-Stack = list[tuple[int, list[Entry]]]  # (level, entries), the seam's level last
+Stack = list[tuple[int, list[Entry]]]  # (level in the hierarchy, entries), the seam's level last
 Word = tuple[int, int]  # a word's top symbol and its inverse's; 0 is the empty word
 
 EMPTY: Word = (0, 0)
@@ -96,9 +104,37 @@ class Table:
             return a
         n = self._common_prefix(x_inv, y)
         kept_x, kept_y = self.length[x] - n, self.length[y] - n
-        top = self._join(self._cut(x, kept_x)[0], self._cut(y, n)[1])
-        inverse = self._join(self._cut(y_inv, kept_y)[0], self._cut(x_inv, n)[1])
+        top = self._join(self._cut(x, kept_x)[0], self._cut(y, n)[1], [])
+        inverse = self._join(self._cut(y_inv, kept_y)[0], self._cut(x_inv, n)[1], [])
         return top, inverse
+
+    def conjugate(self, w: Word, c: Word) -> Word:
+        """The reduced conjugate ``w^-1 c w`` of the reduced word ``w`` by the
+        one-letter word ``c``.
+
+        ``w`` is ``c^k u``, with ``c^k`` its leading run of ``c`` or ``c^-1``,
+        so the conjugate is ``u^-1 c u``, reduced as it stands.  Its top and
+        its inverse's, of ``u^-1 c^-1 u``, are each one join of the same two
+        cuts around the letter.
+        """
+        x, x_inv = w
+        k = self._leading_run(x, c)
+        n = self.length[x] - k
+        if not n:
+            return c
+        top = self._join(self._cut(x_inv, n)[0], self._cut(x, k)[1], [(c[0], 1)])
+        inverse = self._join(self._cut(x_inv, n)[0], self._cut(x, k)[1], [(c[1], 1)])
+        return top, inverse
+
+    def _leading_run(self, x: int, c: Word) -> int:
+        """The length of the leading run of the letter of ``c`` or of its
+        inverse in the word of ``x``: the count of the word's first symbol at
+        level 1, a maximal run of one letter, or 0 if that letter is another."""
+        level, parts = self.level, self.parts
+        while level[x] > 1:
+            x = parts[x][0][0]
+        base, k = parts[x][0] if level[x] else (x, 1)
+        return k if base in c else 0
 
     def _common_prefix(self, x: int, y: int) -> int:
         """How many letters the words of the symbols ``x`` and ``y`` share at
@@ -149,7 +185,8 @@ class Table:
         it on, each as whole symbols of its hierarchy, by level, highest
         first; each level of the second is stored last to first."""
         level, length, parts = self.level, self.length, self.parts
-        whole = [(level[symbol], [(symbol, 1)])]
+        h = level[symbol]
+        whole = [(h, [(symbol, 1)])]
         if not p:
             return [], whole
         if p == length[symbol]:
@@ -157,6 +194,9 @@ class Table:
         before: Stack = []
         after: Stack = []
         while p:
+            h -= 1
+            if level[symbol] == h:  # a run of one: the symbol itself, one level down
+                continue
             spelled = parts[symbol]
             for j, (c, k) in enumerate(spelled):
                 size = length[c]
@@ -172,14 +212,15 @@ class Table:
             if rest:
                 right.append((c, rest))
             if left:
-                before.append((level[symbol] - 1, left))
+                before.append((h, left))
             if right:
-                after.append((level[symbol] - 1, right))
+                after.append((h, right))
             symbol = c
         return before, after
 
-    def _join(self, left: Stack, right: Stack) -> int:
-        """The top of the word spelled by ``left`` and then ``right``.
+    def _join(self, left: Stack, right: Stack, window: list[Entry]) -> int:
+        """The top of the word spelled by ``left``, the letters ``window``
+        and then ``right``.
 
         ``left`` and ``right`` hold whole symbols of the hierarchies of the
         words they were cut from.  Level by level, the window takes that
@@ -189,9 +230,8 @@ class Table:
         two on the left before a block step, whose cut at a position looks at
         the next one, and one otherwise.
         """
-        if not (left or right):
+        if not (left or right or window):
             return 0
-        window: list[Entry] = []
         h = 0
         while True:
             left_part = self._take(left, h, 1 + (h & 1), False)
@@ -202,16 +242,17 @@ class Table:
             h += 1
             window = self._blocks(window, h) if h & 1 == 0 else self._runs(window, h)
 
-    def _take(self, stack: Stack, level: int, need: int, backwards: bool) -> list[Entry]:
-        """The entries of ``level`` at the seam end of ``stack``, and then, while
-        they are fewer than ``need``, those that its next symbol spells at
-        ``level``, unfolded one copy and one level at a time.  ``backwards``
-        for a right-hand stack, whose entries are stored last to first."""
-        parts = self.parts
-        taken = stack.pop()[1] if stack and stack[-1][0] == level else []
+    def _take(self, stack: Stack, h: int, need: int, backwards: bool) -> list[Entry]:
+        """The entries of level ``h`` at the seam end of ``stack``, and then,
+        while they are fewer than ``need``, those that its next symbol spells
+        at level ``h``, unfolded one copy and one level at a time.
+        ``backwards`` for a right-hand stack, whose entries are stored last to
+        first."""
+        level, parts = self.level, self.parts
+        taken = stack.pop()[1] if stack and stack[-1][0] == h else []
         while len(taken) < need and stack:
             g, entries = stack[-1]
-            if g == level:
+            if g == h:
                 taken = entries + taken
                 stack.pop()
                 continue
@@ -222,11 +263,16 @@ class Table:
                 entries.pop()
                 if not entries:
                     stack.pop()
-            stack.append((g - 1, list(reversed(parts[s]) if backwards else parts[s])))
+            g -= 1
+            if level[s] == g:  # a run of one: the symbol itself, one level down
+                stack.append((g, [(s, 1)]))
+            else:
+                stack.append((g, list(reversed(parts[s]) if backwards else parts[s])))
         return taken
 
     def _runs(self, window: list[Entry], level: int) -> list[Entry]:
-        """Each maximal run of ``window`` as one symbol of ``level``."""
+        """Each maximal run of ``window`` as one symbol of ``level``, but a
+        run of one as its own symbol."""
         out = []
         base, count = window[0]
         for s, k in window[1:]:
@@ -239,6 +285,8 @@ class Table:
         return out
 
     def _run(self, base: int, count: int, level: int) -> Entry:
+        if count == 1:
+            return base, 1
         return self._symbol((level, base, count), level, ((base, count),)), 1
 
     def _blocks(self, window: list[Entry], level: int) -> list[Entry]:
@@ -261,7 +309,10 @@ class Table:
 
     def _block(self, symbols: list[int], level: int) -> Entry:
         key = (level, *symbols)
-        return self._symbol(key, level, tuple((s, 1) for s in symbols)), 1
+        symbol = self._symbols.get(key)
+        if symbol is None:  # most blocks are met again: spell out the parts of new ones only
+            symbol = self._symbol(key, level, tuple((s, 1) for s in symbols))
+        return symbol, 1
 
 
 def compressed_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, int]]:
@@ -270,8 +321,7 @@ def compressed_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, int]]
     for quandles of the conjugate ``tail^-1 head tail`` instead."""
     check_theory(theory)
     table = Table()
-    inverse = lambda w: (w[1], w[0])
-    images = fold(terms, EMPTY, table.letter, table.product, inverse)
+    images = fold(terms, EMPTY, table.letter, table.product, table.conjugate)
     if theory == QUANDLE:
-        images = conjugated_heads(images, table.letter, table.product, inverse)
+        images = conjugated_heads(images, table.letter, table.conjugate)
     return [(head, word[0]) for head, word in images]

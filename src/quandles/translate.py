@@ -73,9 +73,9 @@ class TailTooLong(Exception):
 # 4 to 8 ns a letter and the model of ``model_keys`` 2 to 3 us a node, so at
 # the cap the two cost about the same, and a decider that switches there
 # spends a small multiple of what the cheaper of the two would on "not-equal".
-# "Equal" past the cap costs the compressed forms 0.5 to 3 ms a node, up to
-# 20 times what expanding would cost just past the cap, but that cost no
-# longer doubles with each level of nesting.
+# "Equal" past the cap costs the compressed forms 0.1 to 0.7 ms a node on
+# right-nested pairs, up to 40 times what expanding would cost just past the
+# cap, but that cost no longer doubles with each level of nesting.
 LETTERS_PER_NODE = 256
 
 
@@ -236,17 +236,17 @@ def text_keys(texts: Sequence[str], n: int, allow_aux: bool, theory: str) -> lis
 
 
 def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],
-         product: Callable[[G, G], G], inverse: Callable[[G], G]) -> list[tuple[str, G]]:
+         product: Callable[[G, G], G], conjugate: Callable[[G, G], G]) -> list[tuple[str, G]]:
     """The rack normal forms ``(head, tail)`` of ``terms``, with each tail an
     element of a group given by its identity ``one``, the image
-    ``letter(name, sign)`` of a signed letter, and its ``product`` and
-    ``inverse``.
+    ``letter(name, sign)`` of a signed letter, its ``product``, and
+    ``conjugate(w, c)``, the conjugate ``w^-1 c w`` of a letter's image ``c``.
 
     An atom goes to ``(atom, one)`` and ``s |>^e t`` to ``(head(s), tail(s) *
-    tail(t)^-1 * head(t)^e * tail(t))``.  The walk is a loop over an explicit
-    stack; it numbers every subterm by ``(sign, left, right)``, so
-    structurally equal subterms, within a term or across terms, share one
-    image, and no term is hashed.
+    tail(t)^-1 * head(t)^e * tail(t))``: at most one conjugate and one
+    product per node.  The walk is a loop over an explicit stack; it numbers
+    every subterm by ``(sign, left, right)``, so structurally equal subterms,
+    within a term or across terms, share one image, and no term is hashed.
     """
     numbered: dict[int, int] = {}  # id() of a subterm -> its number
     shared: dict[str | tuple[int, int, int], int] = {}  # letter or (sign, left, right) -> number
@@ -278,8 +278,8 @@ def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],
                     head, tail = images[left]
                     h, w = images[right]
                     c = letter(h, u.sign)
-                    if w is not one:  # an atom's tail: conjugating by it is two products for nothing
-                        c = product(product(inverse(w), c), w)
+                    if w is not one:  # an atom's tail: conjugating by it changes nothing
+                        c = conjugate(w, c)
                     images.append((head, product(tail, c)))
                 else:
                     images.append((key, one))
@@ -289,11 +289,11 @@ def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],
 
 
 def conjugated_heads(images: Sequence[tuple[str, G]], letter: Callable[[str, int], G],
-                     product: Callable[[G, G], G], inverse: Callable[[G], G]) -> list[tuple[str, G]]:
+                     conjugate: Callable[[G, G], G]) -> list[tuple[str, G]]:
     """The quandle keys of the rack normal forms ``images`` that ``fold``
     built in a group with these operations: each head with the conjugate
-    ``tail^-1 head tail``."""
-    return [(head, product(inverse(tail), product(letter(head, 1), tail))) for head, tail in images]
+    ``tail^-1 head tail``, one ``conjugate`` per key."""
+    return [(head, conjugate(tail, letter(head, 1))) for head, tail in images]
 
 
 # --- a model: the rack normal forms evaluated in SL2(F_p) -------------------
@@ -317,6 +317,11 @@ def _inverse(m: Matrix) -> Matrix:
     a, b, c, d = m
     p = MODEL_PRIME
     return d, -b % p, -c % p, a
+
+
+def _conjugate(m: Matrix, c: Matrix) -> Matrix:
+    """``m^-1 c m``, two products."""
+    return _product(_product(_inverse(m), c), m)
 
 
 def _letter_matrix(i: int) -> Matrix:
@@ -354,10 +359,10 @@ def model_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, Matrix]]:
     check_theory(theory)
     letters = _LetterMatrices()
     letter = lambda name, sign: letters[name][sign < 0]
-    images = fold(terms, _IDENTITY, letter, _product, _inverse)
+    images = fold(terms, _IDENTITY, letter, _product, _conjugate)
     if theory == RACK:
         return images
-    return conjugated_heads(images, letter, _product, _inverse)
+    return conjugated_heads(images, letter, _conjugate)
 
 
 def rack_image(t: Term) -> RackNF:

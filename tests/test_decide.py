@@ -8,7 +8,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_translate import recursive_rack_image
 
 from quandles import compressed, decide, rewrite, terms, translate, words
@@ -581,7 +581,7 @@ def test_deciding_under_the_cap_leaves_the_compressed_forms_unimported():
 
 def _compressed_images(table, terms):
     """The rack normal forms of ``terms`` as compressed words of ``table``."""
-    return translate.fold(terms, compressed.EMPTY, table.letter, table.product, lambda w: (w[1], w[0]))
+    return translate.fold(terms, compressed.EMPTY, table.letter, table.product, table.conjugate)
 
 
 def _expand(table, symbol):
@@ -601,12 +601,15 @@ def _expand(table, symbol):
 
 
 def test_compressed_tails_of_right_nested_terms_expand_to_the_rack_tails():
-    # the reader where tails double with each level
+    # the reader where tails double with each level, on the rack tails and
+    # the quandle keys' conjugates
     for k in range(2, 19):
         t = right_nested(k)
         table = compressed.Table()
-        ((head, tail),) = _compressed_images(table, [t])
+        ((head, tail),) = rack = _compressed_images(table, [t])
         assert (head, _expand(table, tail[0])) == translate.rack_image(t)
+        ((_, conjugate),) = translate.conjugated_heads(rack, table.letter, table.conjugate)
+        assert _expand(table, conjugate[0]) == translate.quandle_image(t)
 
 
 def _spelled(table, word):
@@ -643,6 +646,44 @@ def test_compressed_products_cancel_runs(left, right, letter, i, j):
     product = table.product(_spelled(table, u), _spelled(table, v))
     assert _expand(table, product[0]) == words.mul(u, v)
     assert product == _spelled(table, words.mul(u, v))
+
+
+SIGNED = st.tuples(st.sampled_from((gen(1), gen(2), gen(3))), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=SIGNED, lead=st.integers(-6, 6), rest=st.lists(SIGNED, max_size=200))
+@example(c=(gen(1), 1), lead=0, rest=[])
+@example(c=(gen(1), -1), lead=5, rest=[])
+@example(c=(gen(1), 1), lead=-3, rest=[(gen(1), -1)])
+def test_a_conjugate_is_two_products(c, lead, rest):
+    # w = c^lead * rest: the empty word, a run of c or c^-1 alone, or a word
+    # starting with one, whose run the conjugate strips
+    w = words.mul(words.run(c[0], lead), rest)
+    table = compressed.Table()
+    letter, word = table.letter(*c), _spelled(table, w)
+    conjugate = table.conjugate(word, letter)
+    assert conjugate == table.product(table.product((word[1], word[0]), letter), word)
+    assert _expand(table, conjugate[0]) == words.mul(words.inv(w), (c,), w)
+    if w == words.run(c[0], lead):
+        assert conjugate == letter
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_trees_build_the_hierarchy_of_the_word(data):
+    # the hierarchy is a function of the word alone, however it was
+    # multiplied, and no run of one is a symbol of its own
+    runs = st.lists(st.tuples(SIGNED, st.sampled_from((1, 2, 5, 30))), max_size=10)
+    pieces = [words.mul(*(words.run(name, e * k) for (name, e), k in piece))
+              for piece in data.draw(st.lists(runs, max_size=8))]
+    table = compressed.Table()
+    built = [_spelled(table, piece) for piece in pieces]
+    while len(built) > 1:
+        i = data.draw(st.integers(0, len(built) - 2))
+        built[i:i + 2] = [table.product(built[i], built[i + 1])]
+    assert (built[0] if built else compressed.EMPTY) == _spelled(table, words.mul(*pieces))
+    assert all(key[0] % 2 == 0 or key[2] > 1 for key in table._symbols)  # a run's key: (odd level, base, count)
 
 
 def _flipped(t, rng):
@@ -699,11 +740,36 @@ def test_compressed_keys_of_a_deep_left_chain():
     assert words.split_leading_run(tail, head)[0] == 1000
     table = compressed.Table()
     rack = _compressed_images(table, chains)  # one fold, as compressed_keys makes
-    quandle = translate.conjugated_heads(rack, table.letter, table.product, lambda w: (w[1], w[0]))
+    quandle = translate.conjugated_heads(rack, table.letter, table.conjugate)
     assert _expand(table, rack[0][1][0]) == tail
     assert _expand(table, quandle[0][1][0]) == translate.quandle_image(t)
     assert rack[0] != rack[1]
     assert quandle[0] == quandle[1]
+
+
+@pytest.mark.parametrize("theory", [QUANDLE, RACK])
+def test_compressed_keys_join_twice_per_node(monkeypatch, theory):
+    # a top and its inverse's per product or conjugate: a conjugate made of
+    # two products would join four times
+    t = right_nested(12)
+    pair = (t, Node(-1, Node(1, t, Atom(gen(1))), Atom(gen(1))))
+    nodes = set()
+    todo = list(pair)
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Node) and u not in nodes:
+            nodes.add(u)
+            todo += (u.left, u.right)
+    join, joins = compressed.Table._join, []
+
+    def counted(table, *args):
+        joins.append(args)
+        return join(table, *args)
+
+    monkeypatch.setattr(compressed.Table, "_join", counted)
+    key_t, key_u = compressed.compressed_keys(pair, theory)
+    assert key_t == key_u
+    assert len(joins) <= 2 * len(nodes) + (2 * len(pair) if theory == QUANDLE else 0)
 
 
 def test_compressed_blocks_are_keyed_with_their_level():

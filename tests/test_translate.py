@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import given, strategies as st
 
@@ -66,10 +67,15 @@ def test_rack_image_matches_recursive_translation_random(t):
     assert translate.rack_image(t) == recursive_rack_image(t)
 
 
+def _conjugate(w, c):
+    """``w^-1 c w`` in the group of reduced words."""
+    return words.mul(words.inv(w), c, w)
+
+
 @given(st.lists(_terms(letters=(X, X0, gen(1), gen(2), gen(3))), min_size=1, max_size=4))
 def test_fold_over_group_words_matches_recursive_translation(ts):
     # a third group, beside the compact and the compressed words
-    images = translate.fold(ts, words.EMPTY, words.letter, words.mul, words.inv)
+    images = translate.fold(ts, words.EMPTY, words.letter, words.mul, _conjugate)
     assert images == [recursive_rack_image(t) for t in ts]
 
 
@@ -83,22 +89,26 @@ def _right_nested(k):
 def test_fold_translates_each_distinct_subterm_once():
     # the second term of the pair is built apart from the first, but all of
     # it except its two outer nodes is the first again; a node costs at most
-    # three products
+    # one product and one conjugate
     t, u = _right_nested(10), Node(-1, Node(1, _right_nested(10), Atom(gen(1))), Atom(gen(1)))
 
-    def products(terms):
-        calls = []
+    def operations(terms):
+        calls = Counter()
 
         def product(a, b):
-            calls.append((a, b))
+            calls["product"] += 1
             return words.mul(a, b)
 
-        translate.fold(terms, words.EMPTY, words.letter, product, words.inv)
-        return len(calls)
+        def conjugate(w, c):
+            calls["conjugate"] += 1
+            return _conjugate(w, c)
 
-    alone = products([t])
-    assert 9 <= alone <= 3 * 9
-    assert products([t, u]) - alone <= 3 * 2
+        translate.fold(terms, words.EMPTY, words.letter, product, conjugate)
+        return calls
+
+    alone = operations([t])
+    assert alone["conjugate"] and max(alone.values()) <= 9
+    assert max((operations([t, u]) - alone).values()) <= 2
 
 
 def test_rack_image_of_deep_terms():
