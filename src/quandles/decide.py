@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from .terms import Term, UnknownGeneratorError, _Malformed, parse
 from .translate import QUANDLE, RACK, THEORIES, TailTooLong, compact_keys, model_keys, text_keys
-from .words import CodebookFull
 
 __all__ = ["QUANDLE", "RACK", "THEORIES", "term_equal", "text_equal"]
 
@@ -51,13 +50,13 @@ def term_equal(s: Term, t: Term, theory: str) -> bool:
 def text_equal(s: str, t: str, n: int, theory: str, allow_aux: bool = True) -> bool:
     """``term_equal(parse(s, n, allow_aux), parse(t, n, allow_aux), theory)``,
     decided in one pass over each text where it can be
-    (``translate.text_keys``).  Wherever that pass gives up, on an error in
-    the text, a 129th name or a long tail, the texts are parsed and decided
-    as terms, so the answer and every error are those of ``parse`` and
-    ``term_equal``."""
+    (``translate.text_keys``).  Wherever that pass gives up, on a malformed
+    text, an unknown generator or a long tail, the texts are parsed and
+    decided as terms, so the answer and every error are those of ``parse``
+    and ``term_equal``."""
     try:
         key_s, key_t = text_keys((s, t), n, allow_aux, theory)
-    except (_Malformed, UnknownGeneratorError, CodebookFull, TailTooLong):
+    except (_Malformed, UnknownGeneratorError, TailTooLong):
         return term_equal(parse(s, n, allow_aux), parse(t, n, allow_aux), theory)
     return key_s == key_t
 

@@ -332,7 +332,8 @@ def _build(tokens: list[str], atom: Callable[[str], T], node: Callable[[int, T, 
     """Shift-reduce the token list in the algebra given by ``atom``, which
     checks an atom token and returns its value, and ``node(sign, left,
     right)``, which combines two values: ``parse`` builds a term with
-    ``Node``, ``translate.text_keys`` a normal form.
+    ``Node``, ``translate.text_keys`` a normal form.  ``evaluate`` runs the
+    same algebra over a term already built.
 
     ``left`` is the value built so far at the current parenthesis depth and
     ``sign`` the operator waiting for its right operand; ``(`` saves both on
@@ -380,6 +381,40 @@ def _build(tokens: list[str], atom: Callable[[str], T], node: Callable[[int, T, 
                 raise _Malformed("expected ')'", i - 1)
             factor = left
             left, sign = stack.pop()
+
+
+def evaluate(t: Term, atom: Callable[[str], T], node: Callable[[int, T, T], T]) -> T:
+    """The value of the built term ``t`` in the algebra of ``_build``:
+    ``atom(letter)`` for an atom, ``node(sign, left, right)`` for a node, in
+    the order ``_build`` calls them on ``render(t)``, left before right.
+
+    Each left spine is walked down to its head atom in a loop and folded
+    bottom-up; while a composite right child is evaluated, its spine and the
+    value built so far wait on an explicit stack, so terms of any depth are
+    evaluated.
+    """
+    suspended: list[tuple[list[Node], int, T]] = []
+    while True:
+        spine: list[Node] = []
+        while type(t) is Node:
+            spine.append(t)
+            t = t.left
+        value = atom(t.letter)
+        k = len(spine)
+        while True:
+            if k:
+                k -= 1
+                t = spine[k].right
+                if type(t) is Node:
+                    suspended.append((spine, k, value))
+                    break
+                right = atom(t.letter)
+            elif suspended:
+                right = value
+                spine, k, value = suspended.pop()
+            else:
+                return value
+            value = node(spine[k].sign, value, right)
 
 
 def _letter(tok: str, n: int, allow_aux: bool) -> str:

@@ -6,14 +6,15 @@ and a reduced word: atoms go to ``(atom, e)``; ``s |>^eps t`` goes to
 ``(head(S), tail(S) * tail(T)^-1 * head(T)^eps * tail(T))``.  The head is
 always the leftmost atom of the term.  Two terms are equal in the free rack
 exactly when both components agree.  The translation is computed without
-recursion, by one of two walks.  ``_compact_images``, the hot path, builds
-tails in place as compact words (see ``words``), one integer code per signed
-letter over a codebook of the call's own; the deciders compare them as they
-are, and ``rack_image`` and ``normal_form`` decode them into tuples of
-signed letters.  ``text_keys`` builds the same tails from text, in the
-parser's loop, so that no term is built.  ``fold`` builds tails in any group
-given by its operations, translating each distinct subterm once; the keys
-past the wall below use it.
+recursion, by one node step with two drivers.  ``_compact_forms`` owns the
+step, which builds tails in place as compact words (see ``words``), one
+integer code per signed letter over a codebook of the call's own.
+``terms.evaluate`` drives it over built terms (``_compact_images``), and the
+parser's loop ``terms._build`` over text (``text_keys``), so that no term is
+built.  The deciders compare the tails as they are, and ``rack_image`` and
+``normal_form`` decode them into tuples of signed letters.  ``fold`` builds
+tails in any group given by its operations, translating each distinct
+subterm once; the keys past the wall below use it.
 
 The free-quandle normal form is a quotient of the rack one: a term stands
 for the conjugate ``tail^-1 head tail``, as in the paper's direct translation
@@ -40,7 +41,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from . import words
-from .terms import _TOKEN, Node, Term, _atom, _build
+from .terms import _TOKEN, Node, Term, _atom, _build, evaluate
 from .words import CompactWord, GroupWord
 
 QUANDLE = "quandle"
@@ -48,6 +49,7 @@ RACK = "rack"
 THEORIES = (QUANDLE, RACK)
 
 G = TypeVar("G")  # an element of the group that ``fold`` builds tails in
+S = TypeVar("S")  # what ``_compact_forms`` builds normal forms of: a term, or its tokens
 
 
 def check_theory(theory: str) -> None:
@@ -64,97 +66,92 @@ class RackNF(NamedTuple):
 
 
 class TailTooLong(Exception):
-    """A capped walk built a tail longer than ``LETTERS_PER_NODE`` letters
-    per node it has met."""
+    """A capped call built a tail longer than ``LETTERS_PER_NODE`` letters
+    per node attached so far."""
 
 
-# The cap on a tail, in letters per node met, past which a capped walk gives
-# up.  With CPython 3.11 on a 2-CPU x86-64 machine, expanding a tail costs
-# 4 to 8 ns a letter and the model of ``model_keys`` 2 to 3 us a node, so at
-# the cap the two cost about the same, and a decider that switches there
-# spends a small multiple of what the cheaper of the two would on "not-equal".
+# The cap on a tail, in letters per node attached so far, past which a
+# capped call gives up.  With CPython 3.11 on a 2-CPU x86-64 machine,
+# expanding a tail costs 4 to 8 ns a letter and the model of ``model_keys``
+# 2 to 3 us a node, so at the cap the two cost about the same, and a decider
+# that switches there spends a small multiple of what the cheaper of the two
+# would on "not-equal".
 # "Equal" past the cap costs the compressed forms 0.1 to 0.7 ms a node on
 # right-nested pairs, up to 40 times what expanding would cost just past the
 # cap, but that cost no longer doubles with each level of nesting.
 LETTERS_PER_NODE = 256
 
 
-def _compact_images(
-    terms: Sequence[Term], capped: bool = False
-) -> tuple[dict[str, int], int, list[tuple[str, CompactWord]]]:
-    """The rack normal forms of ``terms`` as heads and compact tails.
+def _compact_forms(items: Sequence[S], drive: Callable[[S, Callable, Callable], tuple[str, CompactWord]],
+                   atom: Callable[[str], tuple[str, CompactWord]],
+                   capped: bool) -> tuple[dict[str, int], int, list[tuple[str, CompactWord]]]:
+    """The rack normal forms of ``items`` as heads and compact tails, each
+    built as ``drive(item, atom, node)``: ``terms.evaluate`` over a built
+    term, or the parser's loop ``terms._build`` over a token list.  ``atom``
+    gives an atom's letter with the empty tail (``_atom_image``).  The node
+    step ``node`` is the one place where a factor joins a compact tail: for
+    ``s |>^e t`` it attaches the conjugate ``w^-1 h^e w`` of the image
+    ``(h, w)`` of ``t`` to the tail of ``s``, in place, cancelling at its
+    end: a single letter ``h^e`` when ``w`` is empty, else one
+    ``words.conjugate_onto``.
 
-    A term is a left spine ``((a |>^e1 r1) |>^e2 r2) ... |>^ek rk``: its head
-    is the atom ``a`` and its tail the reduced product of the conjugates
-    ``w_j^-1 h_j^e_j w_j`` with ``(h_j, w_j)`` the image of ``r_j``.  The tail
-    is built bottom-up, cancelling at its end.  An atom ``r_j`` adds the
-    single letter ``r_j^e_j``; a composite ``r_j`` suspends the fold on an
-    explicit stack until its own image is done.
-
-    All terms share one codebook, which numbers letter names in the order
+    All items share one codebook, which numbers letter names in the order
     they are met; a name's code is its number.  Every head has a code, even
     one that no tail uses, since a quandle key conjugates by it.  Returns the
-    codebook, the sign mask of its width and one ``(head, tail)`` per term.
-    Codes are one byte while the terms contain at most 128 names: a walk
+    codebook, the sign mask of its width and one ``(head, tail)`` per item.
+    Codes are one byte while the items contain at most 128 names: a call
     that meets a 129th starts again once, with 4-byte codes.  A ``capped``
-    walk raises ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE``
-    letters per node met so far.
+    call raises ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE``
+    letters per node attached so far.
     """
     conjugate_onto = words.conjugate_onto
     per_node = LETTERS_PER_NODE if capped else None
     for new, mask, room in words.WIDTHS:
         codes: dict[str, int] = {}
-        images = []
         met = 0
+
+        def node(sign: int, left: tuple[str, CompactWord], right: tuple[str, CompactWord]) -> tuple[str, CompactWord]:
+            nonlocal met
+            met += 1
+            head, tail = left
+            h, w = right
+            c = codes.get(h)
+            if c is None:
+                c = codes[h] = len(codes)
+                if c == room:
+                    raise words.CodebookFull
+            if sign < 0:
+                c ^= mask
+            tail = tail or new()  # not an atom's tail, which is shared
+            if w:
+                conjugate_onto(tail, w, c, mask)
+                if per_node is not None and len(tail) > per_node * met:
+                    raise TailTooLong
+            elif tail and tail[-1] == c ^ mask:
+                tail.pop()
+            else:
+                tail.append(c)
+            return head, tail
+
+        images = []
         try:
-            for t in terms:
-                suspended: list[tuple[str, CompactWord, list[Node], int]] = []
-                while t is not None:
-                    spine: list[Node] = []
-                    while isinstance(t, Node):
-                        spine.append(t)
-                        t = t.left
-                    head, tail, k = t.letter, new(), len(spine)
-                    met += k
-                    while True:
-                        if k:
-                            k -= 1
-                            node = spine[k]
-                            t = node.right
-                            if isinstance(t, Node):
-                                suspended.append((head, tail, spine, k))
-                                break
-                            h, w = t.letter, None
-                        elif suspended:
-                            h, w = head, tail
-                            head, tail, spine, k = suspended.pop()
-                            node = spine[k]
-                        else:
-                            t = None
-                            break
-                        if h in codes:
-                            c = codes[h]
-                        else:
-                            c = codes[h] = len(codes)
-                            if c == room:
-                                raise words.CodebookFull
-                        if node.sign < 0:
-                            c ^= mask
-                        if w:
-                            conjugate_onto(tail, w, c, mask)
-                            if per_node is not None and len(tail) > per_node * met:
-                                raise TailTooLong
-                        elif tail and tail[-1] == c ^ mask:
-                            tail.pop()
-                        else:
-                            tail.append(c)
+            for item in items:
+                head, tail = drive(item, atom, node)
                 if codes.setdefault(head, len(codes)) == room:  # quandle keys conjugate by it
                     raise words.CodebookFull
-                images.append((head, tail))
+                images.append((head, tail or new()))  # a quandle key extends a slice of the tail
         except words.CodebookFull:
             continue
         return codes, mask, images
     raise words.CodebookFull
+
+
+def _compact_images(
+    terms: Sequence[Term], capped: bool = False
+) -> tuple[dict[str, int], int, list[tuple[str, CompactWord]]]:
+    """``_compact_forms`` of built ``terms``, driven by ``terms.evaluate``:
+    the codebook, its sign mask and one ``(head, tail)`` per term."""
+    return _compact_forms(terms, evaluate, _atom_image, capped)
 
 
 def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactWord]]:
@@ -186,53 +183,14 @@ def _atom_image(letter: str) -> tuple[str, bytes]:
 def text_keys(texts: Sequence[str], n: int, allow_aux: bool, theory: str) -> list[tuple[str, CompactWord]]:
     """Keys of the terms ``parse(text, n, allow_aux)`` that agree where
     those of ``compact_keys`` do, built while the texts are parsed, so that
-    no term is built.
-
-    The parser's loop (``terms._build``) runs with a rack normal form as its
-    value: an atom is its letter with the empty tail, and ``s |>^e t``
-    attaches the conjugate ``w^-1 h^e w`` of the image ``(h, w)`` of ``t`` to
-    the tail of ``s``, as ``_compact_images`` does.  All the texts share one
-    codebook of one-byte codes.  Text that ``parse`` rejects raises the
-    parser's own error, unlocated; a 129th name raises
-    ``words.CodebookFull``, and a tail longer than ``LETTERS_PER_NODE``
-    letters per node attached so far ``TailTooLong``.
+    no term is built: ``_compact_forms`` with the parser's loop
+    (``terms._build``) as its driver.  A 129th name starts the pass again
+    once, with 4-byte codes, as for built terms.  Text that ``parse`` rejects
+    raises the parser's own error, unlocated, and a tail longer than
+    ``LETTERS_PER_NODE`` letters per node attached so far ``TailTooLong``.
     """
-    new, mask, room = words.WIDTHS[0]
-    conjugate_onto = words.conjugate_onto
-    codes: dict[str, int] = {}
-    met = 0
-
-    def node(sign: int, left: tuple[str, CompactWord], right: tuple[str, CompactWord]) -> tuple[str, CompactWord]:
-        nonlocal met
-        met += 1
-        head, tail = left
-        h, w = right
-        c = codes.get(h)
-        if c is None:
-            c = codes[h] = len(codes)
-            if c == room:
-                raise words.CodebookFull
-        if sign < 0:
-            c ^= mask
-        tail = tail or new()  # not an atom's tail, which is shared
-        if w:
-            conjugate_onto(tail, w, c, mask)
-            if len(tail) > LETTERS_PER_NODE * met:
-                raise TailTooLong
-        elif tail and tail[-1] == c ^ mask:
-            tail.pop()
-        else:
-            tail.append(c)
-        return head, tail
-
-    leaf = _atom(n, allow_aux, _atom_image)
-    images = []
-    for text in texts:
-        head, tail = _build(_TOKEN.findall(text), leaf, node)
-        if codes.setdefault(head, len(codes)) == room:  # quandle keys conjugate by it
-            raise words.CodebookFull
-        images.append((head, tail or new()))  # a quandle key extends a slice of the tail
-    return _keys(codes, mask, images, theory)
+    tokens = [_TOKEN.findall(text) for text in texts]
+    return _keys(*_compact_forms(tokens, _build, _atom(n, allow_aux, _atom_image), True), theory)
 
 
 def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],

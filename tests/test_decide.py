@@ -356,6 +356,14 @@ def term_fragments():
     return TERM_FRAGMENTS
 
 
+def _past_one_byte():
+    """Two chains that meet a 129th name in their tails, as texts over 130
+    generators.  Codes 0 to 127 fill a byte; code 128 would be the byte of
+    y1^-1, the letter that ends t where s has y129."""
+    tail = [(gen(i), 1) for i in range(1, 129)]
+    return render(_chain(gen(130), tail + [(gen(129), 1)])), render(_chain(gen(130), tail + [(gen(1), -1)]))
+
+
 @st.composite
 def _text_pairs(draw, fragments):
     """Two term texts and a generator count: random terms over 4 or 200
@@ -366,10 +374,7 @@ def _text_pairs(draw, fragments):
     rng = random.Random(draw(st.integers(0, 2**32)))
     kind = draw(st.sampled_from(("names", "fragments", "right-nested", "129 names")))
     if kind == "129 names":
-        # codes 0 to 127 fill a byte; code 128 would be the byte of y1^-1,
-        # the letter that ends t where s has y129
-        tail = [(gen(i), 1) for i in range(1, 129)]
-        return render(_chain(gen(130), tail + [(gen(129), 1)])), render(_chain(gen(130), tail + [(gen(1), -1)])), 130
+        return (*_past_one_byte(), 130)
     if kind == "fragments":
         glued = st.lists(st.sampled_from(fragments), max_size=8).map("".join)
         return draw(glued), draw(glued), draw(st.integers(0, 3))
@@ -396,6 +401,34 @@ def test_text_equal_answers_as_parse_and_term_equal(term_fragments, data):
     assert _outcome(decide.text_equal, *args) == _outcome(_parsed_and_decided, *args)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_text_equal_answers_as_the_recursive_reference(term_fragments, data):
+    # the text pass and the term walk share one node step, so the check on
+    # the text pass must come from outside it
+    s, t, n = data.draw(_text_pairs(term_fragments))
+    try:
+        parsed = parse(s, n), parse(t, n)
+    except ValueError:
+        return
+    theory = data.draw(st.sampled_from((QUANDLE, RACK)))
+    expected = _reference_key(parsed[0], theory) == _reference_key(parsed[1], theory)
+    assert decide.text_equal(s, t, n, theory) == expected
+
+
+def test_the_text_pass_restarts_at_four_byte_codes(monkeypatch):
+    # a 129th name restarts the text pass at 4-byte codes; nothing is parsed
+    def parsed(*args):
+        raise AssertionError("the texts were parsed")
+
+    monkeypatch.setattr(decide, "parse", parsed)
+    s, t = _past_one_byte()
+    for theory in (QUANDLE, RACK):
+        assert not decide.text_equal(s, t, 130, theory)
+        assert decide.text_equal(s, s, 130, theory)
+        assert decide.text_equal(t, t, 130, theory)
+
+
 def _gives_up(keys, *args):
     try:
         keys(*args)
@@ -414,6 +447,13 @@ def test_the_text_pass_gives_up_where_the_term_walk_does():
         assert _gives_up(translate.text_keys, (render(t),), k, True, RACK) == gives_up
         seen.add(gives_up)
     assert seen == {True, False}
+    # the cap counts the nodes attached so far: a conjugate of 4,095 letters
+    # attached at the 12th node is past it, however many nodes come after
+    early = render(Node(1, Atom(X), right_nested(12)))
+    for m in (0, 5, 20, 40):
+        text = early + " |> y1 |>~ y2" * m
+        assert _gives_up(translate.compact_keys, (parse(text, 12),), RACK)
+        assert _gives_up(translate.text_keys, (text,), 12, True, RACK)
 
 
 # --- the model in SL2(F_p), and the deciders' stop ---------------------------

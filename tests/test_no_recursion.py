@@ -19,7 +19,7 @@ import pytest
 
 import quandles
 from quandles.rewrite import rewrite_closure
-from quandles.terms import Atom, atoms_of, left_of, parse, render, size, subst, subst_many
+from quandles.terms import Atom, atoms_of, evaluate, left_of, parse, render, size, subst, subst_many
 from quandles.decide import text_equal
 from quandles.translate import RACK, THEORIES
 
@@ -92,6 +92,7 @@ def test_term_operations_run_on_deep_terms(default_recursion_limit, text, spelle
     assert render(t) == text
     assert parse(render(t), 1) == t
     assert size(t) == 6001
+    assert evaluate(t, lambda letter: 1, lambda sign, left, right: left + 1 + right) == 6001
     assert atoms_of(t) == {"x", "y1"}
     assert left_of(t) == leftmost
     assert hash(t) == hash(again)

@@ -363,6 +363,31 @@ def test_round_trip_random(t):
     assert terms.parse(terms.render(t), 2) == t
 
 
+def _recording_algebra():
+    """An atom and a node step that record their calls; a node's value is
+    the number of calls so far, so every operand is told apart."""
+    calls = []
+
+    def atom(letter):
+        calls.append(letter)
+        return letter
+
+    def node(sign, left, right):
+        calls.append((sign, left, right))
+        return len(calls)
+
+    return calls, atom, node
+
+
+def test_evaluate_calls_the_algebra_as_the_parser_does():
+    for t in terms.enumerate_terms(("x", "y1", "y2"), 7):
+        walked, atom, node = _recording_algebra()
+        value = terms.evaluate(t, atom, node)
+        parsed, atom, node = _recording_algebra()
+        assert terms._build(terms._TOKEN.findall(terms.render(t)), atom, node) == value
+        assert walked == parsed
+
+
 # --- substitution ----------------------------------------------------------
 
 def test_subst_examples():
