@@ -63,9 +63,6 @@ __all__ = [
     "Term",
     "TermSyntaxError",
     "UnknownGeneratorError",
-    "ArityMismatchError",
-    "QuandleElem",
-    "RackElem",
     "RackNF",
     "parse",
     "render",
@@ -77,23 +74,7 @@ __all__ = [
     "quandle_image",
     "rack_image",
     "term_equal",
-    "commutes_generically",
-    "canon",
-    "mul",
-    "invert",
-    "quandle_embed",
-    "rack_embed",
-    "elem_to_term",
-    "elem_to_json",
-    "elem_from_json",
-    "apply_inner",
-    "apply_hom",
-    "inner_witness",
-    "rewrite_neighbors",
-    "rewrite_closure",
-    "cross_validate",
-    "run_suite",
-    "SUITE_NAMES",
+    *_HOME,
     "__version__",
 ]
 

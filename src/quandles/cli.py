@@ -8,9 +8,7 @@ and 141 (128 + SIGPIPE) when the reader of stdout has closed it.
 
 Each command returns its exit code, its answer as a JSON object and its
 answer as text, and ``main`` prints one of the two; only ``eq --stdin``
-writes its own output, a slot per line.  Where the JSON object costs a walk
-over a long word, the command returns a function that builds it, which
-``main`` calls only under ``--json``.
+writes its own output, a slot per line.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import io
 import json
 import os
 import sys
-from functools import partial
 from typing import Iterator
 
 # isotropy and suites are imported by the commands that run them, so that
@@ -35,7 +32,7 @@ class CliError(Exception):
     """User input error; message goes to stderr, exit status 2."""
 
 
-Answer = tuple[int, object, str]  # exit code, JSON object (or a function that builds it), text
+Answer = tuple[int, object, str]  # exit code, JSON object, text
 
 
 def _parse_term(text: str, args) -> Term:
@@ -184,7 +181,7 @@ def cmd_canon(args) -> Answer:
     elem = isotropy.canon(t, args.theory)
     if elem is None:
         return 1, {"member": False}, "not-isotropy"
-    return 0, partial(isotropy.elem_to_json, elem), isotropy.elem_to_text(elem)
+    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
 
 
 def cmd_mul(args) -> Answer:
@@ -193,14 +190,14 @@ def cmd_mul(args) -> Answer:
     a = _parse_elem(args.elem1, args)
     b = _parse_elem(args.elem2, args)
     elem = isotropy.mul(a, b)
-    return 0, partial(isotropy.elem_to_json, elem), isotropy.elem_to_text(elem)
+    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
 
 
 def cmd_inv(args) -> Answer:
     from . import isotropy
 
     elem = isotropy.invert(_parse_elem(args.elem, args))
-    return 0, partial(isotropy.elem_to_json, elem), isotropy.elem_to_text(elem)
+    return 0, isotropy.elem_to_json(elem), isotropy.elem_to_text(elem)
 
 
 def cmd_apply(args) -> Answer:
@@ -220,7 +217,7 @@ def cmd_inner_check(args) -> Answer:
     witness = isotropy.inner_witness(images, args.gens, args.theory)
     if witness is None:
         return 1, {"inner": False}, "not-inner"
-    return 0, partial(isotropy.elem_to_json, witness), f"witness {isotropy.elem_to_text(witness)}"
+    return 0, isotropy.elem_to_json(witness), f"witness {isotropy.elem_to_text(witness)}"
 
 
 # verify's bound flags, each with the suite bound it sets
@@ -342,14 +339,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.gens < 0:
         parser.error("--gens must be >= 0")
+    if args.command == "eq" and args.stdin and args.term1 is not None:
+        parser.error("eq takes two terms or --stdin, not both")
     if args.command == "eq" and not args.stdin and (args.term1 is None or args.term2 is None):
         parser.error("eq needs two terms (or --stdin)")
     try:
         if args.command == "eq" and args.stdin:
             return _eq_batch(args)
         code, data, text = args.func(args)
-        if args.json and callable(data):
-            data = data()
         print(json.dumps(data) if args.json else text, flush=True)
         return code
     except BrokenPipeError:

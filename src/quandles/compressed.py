@@ -1,13 +1,23 @@
-"""Normal forms kept compressed, so that "equal" is decided past the
-exponential wall.
+"""Equality of terms past the cap on compact tails, decided without
+expanding the normal forms.
 
-A normal form's tail can have 2^(k-1) - 1 letters for a term of k atoms, but
-it is built from a few products per node.  Here every word is a single
-integer, the top *symbol* of a hierarchy that a ``Table`` hash-conses, and
-two words are equal exactly when their top symbols are.  This is the
-deterministic-signature method (Mehlhorn, Sundar and Uhrig, Algorithmica
-1997); with it, the compressed word problem of a free group takes polynomial
-time (Lohrey, SIAM J. Comput. 2006).
+A tail can have 2^(k-1) - 1 letters for a term of k atoms, so
+``translate.compact_keys`` and ``translate.text_keys`` give up past
+``translate.LETTERS_PER_NODE`` letters per node.  ``equal`` then compares
+two other forms of the normal forms, each one ``fold`` of the translation
+in a group given by its operations, a few of them per distinct subterm, with
+the quandle keys taken by ``translate.quotient``.  ``model_keys`` evaluates
+them in SL2(F_p), a homomorphic image of the free group: keys that differ
+there prove the terms unequal, keys that agree prove nothing.  Where they
+agree, ``compressed_keys`` decides, at a cost polynomial in the size of the
+terms, with keys that agree exactly when the normal forms do.
+
+In ``compressed_keys`` every word is a single integer, the top *symbol* of
+a hierarchy that a ``Table`` hash-conses, and two words are equal exactly
+when their top symbols are.  This is the deterministic-signature method
+(Mehlhorn, Sundar and Uhrig, Algorithmica 1997); with it, the compressed
+word problem of a free group takes polynomial time (Lohrey, SIAM J. Comput.
+2006).
 
 The hierarchy of a word is fixed by the word alone.  Level 0 holds its
 letters.  An even level is cut into maximal runs, each of two or more of
@@ -35,20 +45,148 @@ word is carried as the pair of its top and its inverse's top.  A conjugate
 ``w^-1 c w`` by a letter ``c`` needs no search for what cancels: with the
 leading run of ``c`` or ``c^-1`` read off ``w``'s first symbol of level 1,
 it is ``u^-1 c u`` for the rest ``u`` of ``w``, rebuilt in one pass around
-the letter, and so is its inverse ``u^-1 c^-1 u``.
-
-The normal forms are built by ``translate.fold`` in the group of these
-words: ``Table.product`` multiplies and ``Table.conjugate`` conjugates a
-letter, both for the tails and for the quandle keys
-(``translate.conjugated_heads``).  Nothing is cached between calls.
+the letter, and so is its inverse ``u^-1 c^-1 u``.  Nothing is cached
+between calls.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .terms import Term
-from .translate import QUANDLE, check_theory, conjugated_heads, fold
+from .terms import Node, Term
+from .translate import G, quotient
+
+
+def equal(s: Term, t: Term, theory: str) -> bool:
+    """Whether ``s`` and ``t`` are provably equal in the free ``theory``:
+    not where their ``model_keys`` differ, else exactly where their
+    ``compressed_keys`` agree."""
+    key_s, key_t = model_keys((s, t), theory)
+    if key_s != key_t:
+        return False
+    key_s, key_t = compressed_keys((s, t), theory)
+    return key_s == key_t
+
+
+def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],
+         product: Callable[[G, G], G], conjugate: Callable[[G, G], G]) -> list[tuple[str, G]]:
+    """The rack normal forms ``(head, tail)`` of ``terms``, with each tail an
+    element of a group given by its identity ``one``, the image
+    ``letter(name, sign)`` of a signed letter, its ``product``, and
+    ``conjugate(w, c)``, the conjugate ``w^-1 c w`` of a letter's image ``c``.
+
+    An atom goes to ``(atom, one)`` and ``s |>^e t`` to ``(head(s), tail(s) *
+    tail(t)^-1 * head(t)^e * tail(t))``: at most one conjugate and one
+    product per node.  The walk is a loop over an explicit stack; it numbers
+    every subterm by ``(sign, left, right)``, so structurally equal subterms,
+    within a term or across terms, share one image, and no term is hashed.
+    """
+    numbered: dict[int, int] = {}  # id() of a subterm -> its number
+    shared: dict[str | tuple[int, int, int], int] = {}  # letter or (sign, left, right) -> number
+    images: list[tuple[str, G]] = []
+    out = []
+    for t in terms:
+        todo: list[Term] = [t]
+        while todo:
+            u = todo[-1]
+            if id(u) in numbered:
+                todo.pop()
+                continue
+            if isinstance(u, Node):
+                left, right = numbered.get(id(u.left)), numbered.get(id(u.right))
+                if left is None or right is None:
+                    if right is None:
+                        todo.append(u.right)
+                    if left is None:
+                        todo.append(u.left)
+                    continue
+                key = (u.sign, left, right)
+            else:
+                key = u.letter
+            todo.pop()
+            number = shared.get(key)
+            if number is None:
+                number = shared[key] = len(images)
+                if isinstance(u, Node):
+                    head, tail = images[left]
+                    h, w = images[right]
+                    c = letter(h, u.sign)
+                    if w is not one:  # an atom's tail: conjugating by it changes nothing
+                        c = conjugate(w, c)
+                    images.append((head, product(tail, c)))
+                else:
+                    images.append((key, one))
+            numbered[id(u)] = number
+        out.append(images[numbered[id(t)]])
+    return out
+
+
+# --- a model: the rack normal forms evaluated in SL2(F_p) -------------------
+
+MODEL_PRIME = 2**61 - 1
+
+Matrix = tuple[int, int, int, int]  # [[a, b], [c, d]] as (a, b, c, d)
+
+_IDENTITY: Matrix = (1, 0, 0, 1)
+
+
+def _product(m: Matrix, n: Matrix) -> Matrix:
+    a, b, c, d = m
+    e, f, g, h = n
+    p = MODEL_PRIME
+    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+
+def _inverse(m: Matrix) -> Matrix:
+    """The inverse of a matrix of determinant 1: its adjugate."""
+    a, b, c, d = m
+    p = MODEL_PRIME
+    return d, -b % p, -c % p, a
+
+
+def _conjugate(m: Matrix, c: Matrix) -> Matrix:
+    """``m^-1 c m``, two products."""
+    return _product(_product(_inverse(m), c), m)
+
+
+def _letter_matrix(i: int) -> Matrix:
+    """``A^i B A^-i`` for Sanov's ``A = [[1, 2], [0, 1]]``, ``B = [[1, 0], [2, 1]]``.
+
+    ``A`` and ``B`` generate a free group, in which these conjugates for
+    i = 0, 1, 2, ... are free generators.
+    """
+    p = MODEL_PRIME
+    return (1 + 4 * i) % p, -8 * i * i % p, 2, (1 - 4 * i) % p
+
+
+class _LetterMatrices(dict):
+    """Letter name -> its matrix and inverse, numbering names as they are
+    first looked up."""
+
+    def __missing__(self, name: str) -> tuple[Matrix, Matrix]:
+        m = _letter_matrix(len(self))
+        self[name] = pair = (m, _inverse(m))
+        return pair
+
+
+def model_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, Matrix]]:
+    """Keys of ``terms`` in a finite model: where two differ, the terms are
+    not provably equal in ``theory``.
+
+    Letter names, numbered in the order ``fold`` first asks for them, go to
+    the matrices of ``_letter_matrix``, and a rack normal form
+    ``(head, tail)`` to ``(head, rho(tail))``, with ``rho`` the homomorphism
+    from the free group to SL2(F_p) this defines; the quandle key holds the
+    image of the conjugate ``tail^-1 head tail`` instead.  So terms with equal
+    normal forms have equal keys, and a node costs a bounded number of 2x2
+    products however long its normal form is.
+    """
+    letters = _LetterMatrices()
+    letter = lambda name, sign: letters[name][sign < 0]
+    return quotient(fold(terms, _IDENTITY, letter, _product, _conjugate), theory, letter, _conjugate)
+
+
+# --- the group of compressed words ------------------------------------------
 
 Entry = tuple[int, int]  # a symbol and a repeat count
 Stack = list[tuple[int, list[Entry]]]  # (level in the hierarchy, entries), the seam's level last
@@ -319,9 +457,6 @@ def compressed_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, int]]
     """Keys of ``terms`` that agree exactly when the terms are provably equal
     in ``theory``, over one table: the head and the top symbol of the tail,
     for quandles of the conjugate ``tail^-1 head tail`` instead."""
-    check_theory(theory)
     table = Table()
     images = fold(terms, EMPTY, table.letter, table.product, table.conjugate)
-    if theory == QUANDLE:
-        images = conjugated_heads(images, table.letter, table.conjugate)
-    return [(head, word[0]) for head, word in images]
+    return [(head, word[0]) for head, word in quotient(images, theory, table.letter, table.conjugate)]

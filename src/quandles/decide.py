@@ -5,27 +5,21 @@ normal forms: equality in the free rack holds exactly when the rack normal
 forms ``(head, tail)`` agree, equality in the free quandle exactly when the
 conjugates ``tail^-1 head tail`` do.  The keys are first compared as
 compact words (``translate.compact_keys``), built for both terms over one
-codebook and never decoded.
-
-A normal form can be exponentially longer than its term, so the compact
-keys give up once a tail outgrows a cap on its length per node.  Past it,
-the terms are compared in a finite model (``translate.model_keys``), a fast
-filter: keys that differ there prove the terms unequal.  When the model keys
-agree, the normal forms are compared compressed (``compressed.compressed_keys``),
-at a cost polynomial in the size of the terms, so "equal" always rests on the
-normal forms themselves.  Both are one fold (``translate.fold``) over two
-groups, which translates each distinct subterm of the pair once.  The
-decider is total over any alphabet, including the auxiliary constants.
+codebook and never decoded.  A normal form can be exponentially longer than
+its term, so the compact keys give up once a tail outgrows a cap on its
+length per node; past it, ``compressed.equal`` decides without expanding.
+The decider is total over any alphabet, including the auxiliary constants.
 
 ``text_equal`` decides a pair of term texts.  It builds the compact keys
-while parsing (``translate.text_keys``), and wherever that pass gives up, it
-parses the texts and asks ``term_equal``.
+while parsing (``translate.text_keys``).  Where that pass meets a malformed
+text or an unknown generator, it parses the texts and asks ``term_equal``;
+past the cap, it parses them and goes straight to ``compressed.equal``.
 """
 
 from __future__ import annotations
 
 from .terms import Term, UnknownGeneratorError, _Malformed, parse
-from .translate import QUANDLE, RACK, THEORIES, TailTooLong, compact_keys, model_keys, text_keys
+from .translate import QUANDLE, RACK, THEORIES, TailTooLong, compact_keys, text_keys
 
 __all__ = ["QUANDLE", "RACK", "THEORIES", "term_equal", "text_equal"]
 
@@ -35,15 +29,7 @@ def term_equal(s: Term, t: Term, theory: str) -> bool:
     try:
         key_s, key_t = compact_keys((s, t), theory)
     except TailTooLong:
-        key_s, key_t = model_keys((s, t), theory)
-        if key_s != key_t:
-            return False
-        # imported here, as few calls get this far: a start without a bytecode
-        # cache compiles every module it imports, this one in about 6 ms
-        # (CPython 3.11, 2-CPU x86-64)
-        from .compressed import compressed_keys
-
-        key_s, key_t = compressed_keys((s, t), theory)
+        return _past_the_cap(s, t, theory)
     return key_s == key_t
 
 
@@ -51,14 +37,24 @@ def text_equal(s: str, t: str, n: int, theory: str, allow_aux: bool = True) -> b
     """``term_equal(parse(s, n, allow_aux), parse(t, n, allow_aux), theory)``,
     decided in one pass over each text where it can be
     (``translate.text_keys``).  Wherever that pass gives up, on a malformed
-    text, an unknown generator or a long tail, the texts are parsed and
-    decided as terms, so the answer and every error are those of ``parse``
-    and ``term_equal``."""
+    text, an unknown generator or a long tail, the texts are parsed, so the
+    answer and every error are those of ``parse`` and ``term_equal``."""
     try:
         key_s, key_t = text_keys((s, t), n, allow_aux, theory)
-    except (_Malformed, UnknownGeneratorError, TailTooLong):
+    except (_Malformed, UnknownGeneratorError):
         return term_equal(parse(s, n, allow_aux), parse(t, n, allow_aux), theory)
+    except TailTooLong:
+        return _past_the_cap(parse(s, n, allow_aux), parse(t, n, allow_aux), theory)
     return key_s == key_t
+
+
+def _past_the_cap(s: Term, t: Term, theory: str) -> bool:
+    """``compressed.equal``, imported here, as few calls get this far: a
+    start without a bytecode cache compiles every module it imports, that
+    one in about 5 ms (CPython 3.11, 2-CPU x86-64)."""
+    from .compressed import equal
+
+    return equal(s, t, theory)
 
 
 # kept for `bench/tracing.py` `WRAPPED`; delete when the tracer reads counters (ROADMAP item 2)

@@ -12,27 +12,20 @@ integer code per signed letter over a codebook of the call's own.
 ``terms.evaluate`` drives it over built terms (``_compact_images``), and the
 parser's loop ``terms._build`` over text (``text_keys``), so that no term is
 built.  The deciders compare the tails as they are, and ``rack_image`` and
-``normal_form`` decode them into tuples of signed letters.  ``fold`` builds
-tails in any group given by its operations, translating each distinct
-subterm once; the keys past the wall below use it.
+``normal_form`` decode them into tuples of signed letters.
 
 The free-quandle normal form is a quotient of the rack one: a term stands
 for the conjugate ``tail^-1 head tail``, as in the paper's direct translation
-``s |> t -> T^-1 S T``, ``s |>~ t -> T S T^-1``, and every quandle key is that
-conjugate, built in the group its tail lives in.  The centraliser of a letter
-``h`` in a free group is <h>, so the conjugate fixes the tail up to leading
-powers of the head: ``normal_form`` gives the head and the tail less its
-leading run of the head, ``quandle_image`` the conjugate as one reduced word.
+``s |> t -> T^-1 S T``, ``s |>~ t -> T S T^-1``.  ``quotient`` builds that
+key in whatever group a tail lives in.  The centraliser of a letter ``h`` in
+a free group is <h>, so the conjugate fixes the tail up to leading powers of
+the head: ``normal_form`` gives the head and the tail less its leading run
+of the head, ``quandle_image`` the conjugate as one reduced word.
 
 Normal forms can grow exponentially with the depth of a term: the tail of
 ``y1 |> (y2 |> (... |> yk))`` has 2^(k-1) - 1 letters.  So ``compact_keys``
-gives up on a tail past a cap, and the deciders turn to two other forms of
-the same normal forms, both folds.  ``model_keys`` evaluates them in
-SL2(F_p), at a bounded cost per node: the model is a homomorphic image of
-the free group, so keys that differ there prove the terms unequal, while
-keys that agree prove nothing.  ``compressed.compressed_keys`` keeps them
-compressed, at a cost polynomial in the size of the terms, and its keys
-agree exactly when the normal forms do; "equal" past the cap rests on them.
+and ``text_keys`` give up on a tail past a cap (``TailTooLong``), and the
+decision goes on without expanding, in ``compressed.equal``.
 ``rack_image``, ``normal_form`` and ``quandle_image`` always expand.
 """
 
@@ -41,14 +34,14 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from . import words
-from .terms import _TOKEN, Node, Term, _atom, _build, evaluate
+from .terms import _TOKEN, Term, _atom, _build, evaluate
 from .words import CompactWord, GroupWord
 
 QUANDLE = "quandle"
 RACK = "rack"
 THEORIES = (QUANDLE, RACK)
 
-G = TypeVar("G")  # an element of the group that ``fold`` builds tails in
+G = TypeVar("G")  # an element of a group that tails are built in
 S = TypeVar("S")  # what ``_compact_forms`` builds normal forms of: a term, or its tokens
 
 
@@ -56,6 +49,19 @@ def check_theory(theory: str) -> None:
     """Raise ValueError unless ``theory`` is QUANDLE or RACK."""
     if theory not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}")
+
+
+def quotient(images: list[tuple[str, G]], theory: str, letter: Callable[[str, int], G],
+             conjugate: Callable[[G, G], G]) -> list[tuple[str, G]]:
+    """The keys in ``theory`` of the rack normal forms ``images``, whose
+    tails lie in a group with the image ``letter(name, sign)`` of a signed
+    letter and the conjugate ``conjugate(w, c)``, ``w^-1 c w``, of a letter's
+    image ``c``: the forms themselves, or for quandles each head with the
+    conjugate ``tail^-1 head tail``, one ``conjugate`` per key."""
+    check_theory(theory)
+    if theory == RACK:
+        return images
+    return [(head, conjugate(tail, letter(head, 1))) for head, tail in images]
 
 
 class RackNF(NamedTuple):
@@ -72,7 +78,7 @@ class TailTooLong(Exception):
 
 # The cap on a tail, in letters per node attached so far, past which a
 # capped call gives up.  With CPython 3.11 on a 2-CPU x86-64 machine,
-# expanding a tail costs 4 to 8 ns a letter and the model of ``model_keys``
+# expanding a tail costs 4 to 8 ns a letter and ``compressed.model_keys``
 # 2 to 3 us a node, so at the cap the two cost about the same, and a decider
 # that switches there spends a small multiple of what the cheaper of the two
 # would on "not-equal".
@@ -166,12 +172,10 @@ def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactW
 
 def _keys(codes: dict[str, int], mask: int, images: list[tuple[str, CompactWord]],
           theory: str) -> list[tuple[str, CompactWord]]:
-    """The keys in ``theory`` of rack normal forms built over ``codes``: the
-    forms themselves, or for quandles each head with the conjugate."""
-    check_theory(theory)
-    if theory == RACK:
-        return images
-    return [(head, words.conjugate_onto(tail[:0], tail, codes[head], mask)) for head, tail in images]
+    """The ``quotient`` in ``theory`` of rack normal forms built over ``codes``."""
+    conjugate_onto = words.conjugate_onto
+    return quotient(images, theory, lambda name, sign: codes[name] ^ (mask if sign < 0 else 0),
+                    lambda w, c: conjugate_onto(w[:0], w, c, mask))
 
 
 def _atom_image(letter: str) -> tuple[str, bytes]:
@@ -191,136 +195,6 @@ def text_keys(texts: Sequence[str], n: int, allow_aux: bool, theory: str) -> lis
     """
     tokens = [_TOKEN.findall(text) for text in texts]
     return _keys(*_compact_forms(tokens, _build, _atom(n, allow_aux, _atom_image), True), theory)
-
-
-def fold(terms: Sequence[Term], one: G, letter: Callable[[str, int], G],
-         product: Callable[[G, G], G], conjugate: Callable[[G, G], G]) -> list[tuple[str, G]]:
-    """The rack normal forms ``(head, tail)`` of ``terms``, with each tail an
-    element of a group given by its identity ``one``, the image
-    ``letter(name, sign)`` of a signed letter, its ``product``, and
-    ``conjugate(w, c)``, the conjugate ``w^-1 c w`` of a letter's image ``c``.
-
-    An atom goes to ``(atom, one)`` and ``s |>^e t`` to ``(head(s), tail(s) *
-    tail(t)^-1 * head(t)^e * tail(t))``: at most one conjugate and one
-    product per node.  The walk is a loop over an explicit stack; it numbers
-    every subterm by ``(sign, left, right)``, so structurally equal subterms,
-    within a term or across terms, share one image, and no term is hashed.
-    """
-    numbered: dict[int, int] = {}  # id() of a subterm -> its number
-    shared: dict[str | tuple[int, int, int], int] = {}  # letter or (sign, left, right) -> number
-    images: list[tuple[str, G]] = []
-    out = []
-    for t in terms:
-        todo: list[Term] = [t]
-        while todo:
-            u = todo[-1]
-            if id(u) in numbered:
-                todo.pop()
-                continue
-            if isinstance(u, Node):
-                left, right = numbered.get(id(u.left)), numbered.get(id(u.right))
-                if left is None or right is None:
-                    if right is None:
-                        todo.append(u.right)
-                    if left is None:
-                        todo.append(u.left)
-                    continue
-                key = (u.sign, left, right)
-            else:
-                key = u.letter
-            todo.pop()
-            number = shared.get(key)
-            if number is None:
-                number = shared[key] = len(images)
-                if isinstance(u, Node):
-                    head, tail = images[left]
-                    h, w = images[right]
-                    c = letter(h, u.sign)
-                    if w is not one:  # an atom's tail: conjugating by it changes nothing
-                        c = conjugate(w, c)
-                    images.append((head, product(tail, c)))
-                else:
-                    images.append((key, one))
-            numbered[id(u)] = number
-        out.append(images[numbered[id(t)]])
-    return out
-
-
-def conjugated_heads(images: Sequence[tuple[str, G]], letter: Callable[[str, int], G],
-                     conjugate: Callable[[G, G], G]) -> list[tuple[str, G]]:
-    """The quandle keys of the rack normal forms ``images`` that ``fold``
-    built in a group with these operations: each head with the conjugate
-    ``tail^-1 head tail``, one ``conjugate`` per key."""
-    return [(head, conjugate(tail, letter(head, 1))) for head, tail in images]
-
-
-# --- a model: the rack normal forms evaluated in SL2(F_p) -------------------
-
-MODEL_PRIME = 2**61 - 1
-
-Matrix = tuple[int, int, int, int]  # [[a, b], [c, d]] as (a, b, c, d)
-
-_IDENTITY: Matrix = (1, 0, 0, 1)
-
-
-def _product(m: Matrix, n: Matrix) -> Matrix:
-    a, b, c, d = m
-    e, f, g, h = n
-    p = MODEL_PRIME
-    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
-
-
-def _inverse(m: Matrix) -> Matrix:
-    """The inverse of a matrix of determinant 1: its adjugate."""
-    a, b, c, d = m
-    p = MODEL_PRIME
-    return d, -b % p, -c % p, a
-
-
-def _conjugate(m: Matrix, c: Matrix) -> Matrix:
-    """``m^-1 c m``, two products."""
-    return _product(_product(_inverse(m), c), m)
-
-
-def _letter_matrix(i: int) -> Matrix:
-    """``A^i B A^-i`` for Sanov's ``A = [[1, 2], [0, 1]]``, ``B = [[1, 0], [2, 1]]``.
-
-    ``A`` and ``B`` generate a free group, in which these conjugates for
-    i = 0, 1, 2, ... are free generators.
-    """
-    p = MODEL_PRIME
-    return (1 + 4 * i) % p, -8 * i * i % p, 2, (1 - 4 * i) % p
-
-
-class _LetterMatrices(dict):
-    """Letter name -> its matrix and inverse, numbering names as they are
-    first looked up."""
-
-    def __missing__(self, name: str) -> tuple[Matrix, Matrix]:
-        m = _letter_matrix(len(self))
-        self[name] = pair = (m, _inverse(m))
-        return pair
-
-
-def model_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, Matrix]]:
-    """Keys of ``terms`` in a finite model: where two differ, the terms are
-    not provably equal in ``theory``.
-
-    Letter names, numbered in the order ``fold`` first asks for them, go to
-    the matrices of ``_letter_matrix``, and a rack normal form
-    ``(head, tail)`` to ``(head, rho(tail))``, with ``rho`` the homomorphism
-    from the free group to SL2(F_p) this defines; the quandle key holds the
-    image of the conjugate ``tail^-1 head tail`` instead.  So terms with equal
-    normal forms have equal keys, and a node costs a bounded number of 2x2
-    products however long its normal form is.
-    """
-    check_theory(theory)
-    letters = _LetterMatrices()
-    letter = lambda name, sign: letters[name][sign < 0]
-    images = fold(terms, _IDENTITY, letter, _product, _conjugate)
-    if theory == RACK:
-        return images
-    return conjugated_heads(images, letter, _conjugate)
 
 
 def rack_image(t: Term) -> RackNF:

@@ -10,7 +10,7 @@ import pytest
 
 from test_decide import right_nested
 
-from quandles import cli, decide, isotropy, suites
+from quandles import cli, compressed, decide, isotropy, suites
 from quandles.cli import main, stdin_chunks
 from quandles.terms import render
 
@@ -30,6 +30,16 @@ def test_eq_exit_codes(capsys):
     assert code == 2
     assert not out
     assert "error" in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_eq_takes_terms_or_stdin_not_both(capsys, monkeypatch, json_flag):
+    monkeypatch.setattr("sys.stdin", io.StringIO("y1\ty1\n"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--gens", "1", *json_flag, "eq", "--stdin", "y1", "y2"])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out) == (2, "")
+    assert "eq takes two terms or --stdin, not both" in err
 
 
 def test_eq_distributivity():
@@ -253,11 +263,7 @@ def test_mul_and_inv(capsys):
     assert (code, out.strip()) == (0, "word: e")
 
 
-def test_text_answers_build_no_json(capsys, monkeypatch):
-    def refuse(elem):
-        raise AssertionError("text output built a JSON object")
-
-    monkeypatch.setattr(isotropy, "elem_to_json", refuse)
+def test_text_and_json_answers_name_one_element(capsys):
     elem = '{"theory": "quandle", "word": [["y1", 1]]}'
     for argv, want in (
         (["canon", "(x |> y1) |>~ y2"], "word: y1 y2^-1"),
@@ -267,6 +273,10 @@ def test_text_answers_build_no_json(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, "--gens", "2", *argv)
         assert (code, out.strip(), err) == (0, want, ""), argv
+        code, out, err = run(capsys, "--gens", "2", "--json", *argv)
+        assert (code, err) == (0, ""), argv
+        text = isotropy.elem_to_text(isotropy.elem_from_json(json.loads(out)))
+        assert want.removeprefix("witness ") == text, argv
 
 
 def test_elem_theory_mismatch(capsys):
@@ -453,7 +463,7 @@ def test_eq_stdin_answers_short_terms_without_the_model(capsys, monkeypatch, tes
     def unreachable(terms, theory):
         raise AssertionError("the model was asked about short terms")
 
-    monkeypatch.setattr(decide, "model_keys", unreachable)
+    monkeypatch.setattr(compressed, "model_keys", unreachable)
     test(capsys, monkeypatch)
 
 

@@ -456,6 +456,26 @@ def test_the_text_pass_gives_up_where_the_term_walk_does():
         assert _gives_up(translate.text_keys, (text,), 12, True, RACK)
 
 
+@pytest.mark.parametrize("theory", [QUANDLE, RACK])
+def test_text_equal_past_the_cap_walks_no_built_term(monkeypatch, theory):
+    # where the text pass gives up on a long tail, the parsed terms go
+    # straight past the cap, with no second capped walk over them
+    walks = []
+    walk = translate._compact_images
+
+    def counted(terms, capped=False):
+        walks.append(capped)
+        return walk(terms, capped)
+
+    monkeypatch.setattr(translate, "_compact_images", counted)
+    t = right_nested(24)
+    cancelled = Node(-1, Node(1, t, Atom(gen(1))), Atom(gen(1)))
+    for u, equal in ((cancelled, True), (right_nested(24, inner_sign=-1), False)):
+        assert _gives_up(translate.text_keys, (render(t), render(u)), 24, True, theory)
+        assert decide.text_equal(render(t), render(u), 24, theory) == equal
+    assert walks == []
+
+
 # --- the model in SL2(F_p), and the deciders' stop ---------------------------
 
 SMALL_TERMS = list(enumerate_terms((X, gen(1), gen(2)), 5))
@@ -464,7 +484,7 @@ SMALL_TERMS = list(enumerate_terms((X, gen(1), gen(2)), 5))
 @pytest.mark.parametrize("theory", [QUANDLE, RACK])
 def test_model_separates_exactly_the_unequal_small_terms(theory):
     # one walk numbers the letters of every term alike
-    model = translate.model_keys(SMALL_TERMS, theory)
+    model = compressed.model_keys(SMALL_TERMS, theory)
     pairs = {(translate.normal_form(t, theory), m) for t, m in zip(SMALL_TERMS, model)}
     assert len(SMALL_TERMS) == 237
     assert len({key for key, _ in pairs}) == len(pairs) == len({m for _, m in pairs})
@@ -476,26 +496,27 @@ def test_axiom_steps_keep_the_model_key(data):
     theory = data.draw(st.sampled_from((QUANDLE, RACK)))
     t = data.draw(_balanced_terms(ALPHABETS[4], max_leaves=12))
     for _, u in rewrite.rewrite_steps(t, theory):
-        key_t, key_u = translate.model_keys((t, u), theory)
+        key_t, key_u = compressed.model_keys((t, u), theory)
         assert key_t == key_u
 
 
 def test_rack_model_tells_a_self_operation_from_its_atom():
     s, t = q("y1 |> y1", 1), q("y1", 1)
-    key_s, key_t = translate.model_keys((s, t), RACK)
+    key_s, key_t = compressed.model_keys((s, t), RACK)
     assert key_s != key_t
-    key_s, key_t = translate.model_keys((s, t), QUANDLE)
+    key_s, key_t = compressed.model_keys((s, t), QUANDLE)
     assert key_s == key_t
 
 
 def test_the_stop_hands_over_to_the_model(monkeypatch):
     calls = []
+    model = compressed.model_keys
 
     def counted(terms, theory):
         calls.append(theory)
-        return translate.model_keys(terms, theory)
+        return model(terms, theory)
 
-    monkeypatch.setattr(decide, "model_keys", counted)
+    monkeypatch.setattr(compressed, "model_keys", counted)
     s, t = q("x |> (y1 |> y2)"), q("x |> (y1 |>~ y2)")
     assert not decide.rack_equal(s, t)
     assert not calls  # a tail of one letter per node is under the cap
@@ -518,7 +539,7 @@ def test_deciders_through_the_model_match_recursive_reference(alphabet_size, dat
 @pytest.mark.parametrize("theory, k", [(QUANDLE, 24), (RACK, 25)])
 def test_deep_terms_when_the_model_always_agrees(monkeypatch, theory, k):
     # "equal" and "not-equal" then both come from the compressed normal forms
-    monkeypatch.setattr(decide, "model_keys", lambda terms, theory: [None] * len(terms))
+    monkeypatch.setattr(compressed, "model_keys", lambda terms, theory: [None] * len(terms))
     test_deep_right_nested_terms(theory, k)
 
 
@@ -602,7 +623,7 @@ def test_deciders_through_the_compressed_keys_match_recursive_reference(alphabet
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decide, "compact_keys", stop)
-        patch.setattr(decide, "model_keys", lambda terms, theory: [None] * len(terms))
+        patch.setattr(compressed, "model_keys", lambda terms, theory: [None] * len(terms))
         _check_against_reference(data, alphabet_size)
 
 
@@ -621,7 +642,7 @@ def test_deciding_under_the_cap_leaves_the_compressed_forms_unimported():
 
 def _compressed_images(table, terms):
     """The rack normal forms of ``terms`` as compressed words of ``table``."""
-    return translate.fold(terms, compressed.EMPTY, table.letter, table.product, table.conjugate)
+    return compressed.fold(terms, compressed.EMPTY, table.letter, table.product, table.conjugate)
 
 
 def _expand(table, symbol):
@@ -648,7 +669,7 @@ def test_compressed_tails_of_right_nested_terms_expand_to_the_rack_tails():
         table = compressed.Table()
         ((head, tail),) = rack = _compressed_images(table, [t])
         assert (head, _expand(table, tail[0])) == translate.rack_image(t)
-        ((_, conjugate),) = translate.conjugated_heads(rack, table.letter, table.conjugate)
+        ((_, conjugate),) = translate.quotient(rack, QUANDLE, table.letter, table.conjugate)
         assert _expand(table, conjugate[0]) == translate.quandle_image(t)
 
 
@@ -758,7 +779,7 @@ def test_the_three_quandle_keys_are_one_quotient(data):
         assert words.decode(compact[0][1], codes, mask) == image
         compressed_s, compressed_u = compressed.compressed_keys(pair, QUANDLE)
         assert (compressed_s == compressed_u) == equal
-        model_s, model_u = translate.model_keys(pair, QUANDLE)
+        model_s, model_u = compressed.model_keys(pair, QUANDLE)
         assert model_s == model_u or not equal
 
 
@@ -780,7 +801,7 @@ def test_compressed_keys_of_a_deep_left_chain():
     assert words.split_leading_run(tail, head)[0] == 1000
     table = compressed.Table()
     rack = _compressed_images(table, chains)  # one fold, as compressed_keys makes
-    quandle = translate.conjugated_heads(rack, table.letter, table.conjugate)
+    quandle = translate.quotient(rack, QUANDLE, table.letter, table.conjugate)
     assert _expand(table, rack[0][1][0]) == tail
     assert _expand(table, quandle[0][1][0]) == translate.quandle_image(t)
     assert rack[0] != rack[1]

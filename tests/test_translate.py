@@ -3,7 +3,7 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from quandles import translate, words
+from quandles import compressed, translate, words
 from quandles.terms import (
     X,
     X0,
@@ -75,7 +75,7 @@ def _conjugate(w, c):
 @given(st.lists(_terms(letters=(X, X0, gen(1), gen(2), gen(3))), min_size=1, max_size=4))
 def test_fold_over_group_words_matches_recursive_translation(ts):
     # a third group, beside the compact and the compressed words
-    images = translate.fold(ts, words.EMPTY, words.letter, words.mul, _conjugate)
+    images = compressed.fold(ts, words.EMPTY, words.letter, words.mul, _conjugate)
     assert images == [recursive_rack_image(t) for t in ts]
 
 
@@ -103,7 +103,7 @@ def test_fold_translates_each_distinct_subterm_once():
             calls["conjugate"] += 1
             return _conjugate(w, c)
 
-        translate.fold(terms, words.EMPTY, words.letter, product, conjugate)
+        compressed.fold(terms, words.EMPTY, words.letter, product, conjugate)
         return calls
 
     alone = operations([t])
