@@ -46,6 +46,8 @@ def _parse_elem(text: str, args):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed element JSON: {exc}") from exc
+    except RecursionError as exc:  # valid JSON, but nested deeper than any element
+        raise CliError("element JSON nests too deep") from exc
     elem = isotropy.elem_from_json(data)
     if elem.theory != args.theory:
         raise CliError(f"element theory does not match --theory {args.theory}")
@@ -362,7 +364,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # Drop the failing frames first: after a MemoryError, what they hold
+        # would leave no room for the message.  Whatever the report raises,
+        # the exit code stays 3.
+        exc.__traceback__ = None
+        try:
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        except Exception:
+            pass
         return 3
 
 

@@ -8,7 +8,7 @@ always the leftmost atom of the term.  Two terms are equal in the free rack
 exactly when both components agree.  The translation is computed without
 recursion, by one node step with two drivers.  ``_compact_forms`` owns the
 step, which builds tails in place as compact words (see ``words``), one
-integer code per signed letter over a codebook of the call's own.
+4-byte code per signed letter over a codebook of the call's own.
 ``terms.evaluate`` drives it over built terms (``_compact_images``), and the
 parser's loop ``terms._build`` over text (``text_keys``), so that no term is
 built.  The deciders compare the tails as they are, and ``rack_image`` and
@@ -31,6 +31,7 @@ decision goes on without expanding, in ``compressed.equal``.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from . import words
@@ -90,7 +91,7 @@ LETTERS_PER_NODE = 256
 
 def _compact_forms(items: Sequence[S], drive: Callable[[S, Callable, Callable], tuple[str, CompactWord]],
                    atom: Callable[[str], tuple[str, CompactWord]],
-                   capped: bool) -> tuple[dict[str, int], int, list[tuple[str, CompactWord]]]:
+                   capped: bool) -> tuple[dict[str, int], list[tuple[str, CompactWord]]]:
     """The rack normal forms of ``items`` as heads and compact tails, each
     built as ``drive(item, atom, node)``: ``terms.evaluate`` over a built
     term, or the parser's loop ``terms._build`` over a token list.  ``atom``
@@ -104,59 +105,50 @@ def _compact_forms(items: Sequence[S], drive: Callable[[S, Callable, Callable], 
     All items share one codebook, which numbers letter names in the order
     they are met; a name's code is its number.  Every head has a code, even
     one that no tail uses, since a quandle key conjugates by it.  Returns the
-    codebook, the sign mask of its width and one ``(head, tail)`` per item.
-    Codes are one byte while the items contain at most 128 names: a call
-    that meets a 129th starts again once, with 4-byte codes.  A ``capped``
-    call raises ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE``
-    letters per node attached so far.
+    codebook and one ``(head, tail)`` per item.  A ``capped`` call raises
+    ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE`` letters per
+    node attached so far.
     """
     conjugate_onto = words.conjugate_onto
     per_node = LETTERS_PER_NODE if capped else None
-    for new, mask, room in words.WIDTHS:
-        codes: dict[str, int] = {}
-        met = 0
+    new = array("i").__copy__  # an empty compact word, in half the time of array("i")
+    codes: dict[str, int] = {}
+    met = 0
 
-        def node(sign: int, left: tuple[str, CompactWord], right: tuple[str, CompactWord]) -> tuple[str, CompactWord]:
-            nonlocal met
-            met += 1
-            head, tail = left
-            h, w = right
-            c = codes.get(h)
-            if c is None:
-                c = codes[h] = len(codes)
-                if c == room:
-                    raise words.CodebookFull
-            if sign < 0:
-                c ^= mask
-            tail = tail or new()  # not an atom's tail, which is shared
-            if w:
-                conjugate_onto(tail, w, c, mask)
-                if per_node is not None and len(tail) > per_node * met:
-                    raise TailTooLong
-            elif tail and tail[-1] == c ^ mask:
-                tail.pop()
-            else:
-                tail.append(c)
-            return head, tail
+    def node(sign: int, left: tuple[str, CompactWord], right: tuple[str, CompactWord]) -> tuple[str, CompactWord]:
+        nonlocal met
+        met += 1
+        head, tail = left
+        h, w = right
+        c = codes.get(h)
+        if c is None:
+            c = codes[h] = len(codes)
+        if sign < 0:
+            c = ~c
+        tail = tail or new()  # not an atom's tail, which is shared
+        if w:
+            conjugate_onto(tail, w, c)
+            if per_node is not None and len(tail) > per_node * met:
+                raise TailTooLong
+        elif tail and tail[-1] == ~c:
+            tail.pop()
+        else:
+            tail.append(c)
+        return head, tail
 
-        images = []
-        try:
-            for item in items:
-                head, tail = drive(item, atom, node)
-                if codes.setdefault(head, len(codes)) == room:  # quandle keys conjugate by it
-                    raise words.CodebookFull
-                images.append((head, tail or new()))  # a quandle key extends a slice of the tail
-        except words.CodebookFull:
-            continue
-        return codes, mask, images
-    raise words.CodebookFull
+    images = []
+    for item in items:
+        head, tail = drive(item, atom, node)
+        codes.setdefault(head, len(codes))  # quandle keys conjugate by it
+        images.append((head, tail or new()))  # a quandle key extends a slice of the tail
+    return codes, images
 
 
 def _compact_images(
     terms: Sequence[Term], capped: bool = False
-) -> tuple[dict[str, int], int, list[tuple[str, CompactWord]]]:
+) -> tuple[dict[str, int], list[tuple[str, CompactWord]]]:
     """``_compact_forms`` of built ``terms``, driven by ``terms.evaluate``:
-    the codebook, its sign mask and one ``(head, tail)`` per term."""
+    the codebook and one ``(head, tail)`` per term."""
     return _compact_forms(terms, evaluate, _atom_image, capped)
 
 
@@ -170,12 +162,12 @@ def compact_keys(terms: Sequence[Term], theory: str) -> list[tuple[str, CompactW
     return _keys(*_compact_images(terms, capped=True), theory)
 
 
-def _keys(codes: dict[str, int], mask: int, images: list[tuple[str, CompactWord]],
+def _keys(codes: dict[str, int], images: list[tuple[str, CompactWord]],
           theory: str) -> list[tuple[str, CompactWord]]:
     """The ``quotient`` in ``theory`` of rack normal forms built over ``codes``."""
     conjugate_onto = words.conjugate_onto
-    return quotient(images, theory, lambda name, sign: codes[name] ^ (mask if sign < 0 else 0),
-                    lambda w, c: conjugate_onto(w[:0], w, c, mask))
+    return quotient(images, theory, lambda name, sign: codes[name] if sign > 0 else ~codes[name],
+                    lambda w, c: conjugate_onto(w[:0], w, c))
 
 
 def _atom_image(letter: str) -> tuple[str, bytes]:
@@ -188,9 +180,8 @@ def text_keys(texts: Sequence[str], n: int, allow_aux: bool, theory: str) -> lis
     """Keys of the terms ``parse(text, n, allow_aux)`` that agree where
     those of ``compact_keys`` do, built while the texts are parsed, so that
     no term is built: ``_compact_forms`` with the parser's loop
-    (``terms._build``) as its driver.  A 129th name starts the pass again
-    once, with 4-byte codes, as for built terms.  Text that ``parse`` rejects
-    raises the parser's own error, unlocated, and a tail longer than
+    (``terms._build``) as its driver.  Text that ``parse`` rejects raises
+    the parser's own error, unlocated, and a tail longer than
     ``LETTERS_PER_NODE`` letters per node attached so far ``TailTooLong``.
     """
     tokens = [_TOKEN.findall(text) for text in texts]
@@ -199,8 +190,8 @@ def text_keys(texts: Sequence[str], n: int, allow_aux: bool, theory: str) -> lis
 
 def rack_image(t: Term) -> RackNF:
     """The rack normal form of ``t``: its head letter and reduced tail."""
-    codes, mask, ((head, tail),) = _compact_images((t,))
-    return RackNF(head, words.decode(tail, codes, mask))
+    codes, ((head, tail),) = _compact_images((t,))
+    return RackNF(head, words.decode(tail, codes))
 
 
 def normal_form(t: Term, theory: str) -> tuple[str, GroupWord]:

@@ -6,22 +6,20 @@ when no adjacent pair is mutually inverse; every word has a unique reduced
 form, so equality in the free group is structural equality after ``reduce``.
 
 Normal forms are built as compact words instead (see the section below):
-one fixed-width integer code per signed letter, in a ``bytearray`` or an
-``array``.
+one 4-byte integer code per signed letter, in an ``array("i")``.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import partial
-from operator import invert, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, MutableSequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping
 
 from .terms import gen, gen_index, is_gen, letter_key
 
 SignedLetter = tuple[str, int]
 GroupWord = tuple[SignedLetter, ...]
-CompactWord = MutableSequence[int]  # a bytearray or an array, see below
+CompactWord = array  # an array("i") of letter codes, see below
 
 EMPTY: GroupWord = ()
 
@@ -114,35 +112,23 @@ def enumerate_reduced(letters: Iterable[str], max_len: int) -> Iterator[GroupWor
 
 # ---------------------------------------------------------------------------
 # Compact words.  A codebook numbers the letter names that one computation
-# meets, and a signed letter is then one integer: name number ``i`` with
-# exponent +1 is ``i`` itself, and with exponent -1 it is ``i ^ mask``.  Up to
-# 128 names a letter is one byte, with the sign in bit 7, and a word is a
-# ``bytearray``; beyond, a letter is a signed 4-byte integer, ``~i`` for the
-# inverse, and a word is an ``array("i")``.  At both widths ``code ^ mask``
-# inverts a letter.
+# meets, and a signed letter is then one signed 4-byte integer: name number
+# ``i`` with exponent +1 is ``i`` itself, and with exponent -1 it is ``~i``.
+# A word is an ``array("i")`` of such codes.
 # ---------------------------------------------------------------------------
 
-FLIP = bytes(b ^ 0x80 for b in range(256))
-
-# For letters of 1 and 4 bytes: the constructor of an empty word, the mask
-# that flips a code to its inverse, and how many names the codes number.
-WIDTHS: tuple[tuple[Callable[[], CompactWord], int, int], ...] = (
-    (bytearray, 0x80, 1 << 7),
-    (partial(array, "i"), -1, 1 << 31),
-)
+# ``~code`` flips all 32 bits of a code, so flipping each byte of a word
+# inverts each of its letters
+NOT = bytes(b ^ 0xFF for b in range(256))
 
 
-class CodebookFull(Exception):
-    """More letter names than a code width numbers."""
-
-
-def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> CompactWord:
+def conjugate_onto(tail: CompactWord, w: CompactWord, c: int) -> CompactWord:
     """Replace ``tail`` by the reduced product ``tail * w^-1 * c * w``, and
     return it.
 
-    ``tail`` and ``w`` are reduced compact words of one width and ``c`` a
-    letter code.  Letters cancel only at the seams, which are scanned one
-    integer at a time as far as they cancel; the rest is copied in bulk.
+    ``tail`` and ``w`` are reduced compact words and ``c`` a letter code.
+    Letters cancel only at the seams, which are scanned one integer at a time
+    as far as they cancel; the rest is copied in bulk.
     """
     # tail * w^-1: the end of tail may cancel against the end of w
     j = len(w)
@@ -150,24 +136,21 @@ def conjugate_onto(tail: CompactWord, w: CompactWord, c: int, mask: int) -> Comp
         tail.pop()
         j -= 1
     if j:
-        if type(tail) is bytearray:
-            tail += w[j - 1::-1].translate(FLIP)
-        else:
-            tail += array("i", map(invert, w[j - 1::-1]))
-    if tail and tail[-1] == c ^ mask:
+        tail.frombytes(w[j - 1::-1].tobytes().translate(NOT))
+    if tail and tail[-1] == ~c:
         tail.pop()
     else:
         tail.append(c)
     # * w: the start of w may cancel against the end of tail
     i, n = 0, len(w)
-    while i < n and tail and tail[-1] == w[i] ^ mask:
+    while i < n and tail and tail[-1] == ~w[i]:
         tail.pop()
         i += 1
     tail += w[i:] if i else w
     return tail
 
 
-def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:
+def decode(word: CompactWord, codes: Mapping[str, int]) -> GroupWord:
     """The compact ``word`` as a tuple of signed letters.
 
     ``codes`` is the codebook the word was built with, name -> code of the
@@ -178,7 +161,7 @@ def decode(word: CompactWord, codes: Mapping[str, int], mask: int) -> GroupWord:
     table: dict[int, SignedLetter] = {}
     for name, code in codes.items():
         table[code] = (name, 1)
-        table[code ^ mask] = (name, -1)
+        table[~code] = (name, -1)
     if len(word) == 1:  # itemgetter of one item returns the item itself
         return (table[word[0]],)
     return itemgetter(*word)(table)

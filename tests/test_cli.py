@@ -292,6 +292,19 @@ def test_malformed_elem_json(capsys):
     assert "JSON" in err
 
 
+DEEP_JSON = "[" * 20000 + "]" * 20000
+
+
+@pytest.mark.parametrize("theory, elem", (
+    ("quandle", DEEP_JSON),
+    ("rack", f'{{"theory": "rack", "z": 1, "word": {DEEP_JSON}}}'),
+), ids=("quandle", "rack"))
+def test_deeply_nested_elem_json_is_an_input_error(capsys, theory, elem):
+    # valid JSON that json.loads cannot read without a RecursionError
+    code, out, err = run(capsys, "--theory", theory, "--gens", "1", "inv", elem)
+    assert (code, out, err) == (2, "", "error: element JSON nests too deep\n")
+
+
 @pytest.mark.parametrize("theory, exponent", (("quandle", "true"), ("rack", "1.0"), ("rack", "-1.0")))
 def test_mul_rejects_a_non_integer_exponent(capsys, theory, exponent):
     elem = f'{{"theory": "{theory}", "word": [["y1", {exponent}]]}}'
@@ -490,9 +503,33 @@ def test_eq_stdin_internal_error_stops_the_batch(capsys, monkeypatch, mode):
             assert out == "equal\n"
 
 
-def _cap_address_space():
+def _cap_address_space(limit=1 << 30):
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+def test_internal_error_exits_3_when_its_report_fails(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("decider failed")
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise MemoryError
+
+    monkeypatch.setattr(decide, "text_equal", broken)
+    monkeypatch.setattr(sys, "stderr", Full())
+    assert main(["--gens", "1", "eq", "y1", "y1"]) == 3
+
+
+def test_running_out_of_memory_exits_3_with_one_line():
+    # the alphabet of --n fills the child's address space; the report of the
+    # MemoryError must not need the memory that the failing frames hold
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "quandles", "verify", "axioms", "--n", "100000000"],
+                          capture_output=True, text=True, env=env, timeout=10,
+                          preexec_fn=lambda: _cap_address_space(128 << 20))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "internal error: MemoryError: \n")
 
 
 def test_eq_past_the_expansion_wall_in_a_process():

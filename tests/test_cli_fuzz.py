@@ -35,7 +35,7 @@ JSON_FRAGMENTS = [
     '{"theory": "quandle", "word": [["x", 1]]}',
     '{"theory": "group", "word": []}',
     '{"theory": "quandle", "word": [["y1"]]}',
-    "[]", "null", "1", '"quandle"', "{", "}", '{"word": ',
+    "[]", "null", "1", '"quandle"', "{", "}", '{"word": ', "[" * 20000,
 ]
 SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "x", ""])
 

@@ -198,14 +198,14 @@ def test_deciders_match_recursive_reference(alphabet_size, data):
     _check_against_reference(data, alphabet_size)
 
 
-# few examples: each padded walk meets 20,000 names, past two restarts
+# few examples: each padded walk meets 20,000 names
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_deciders_match_recursive_reference_on_a_wide_alphabet(data):
     _check_against_reference(data, 20000)
 
 
-# --- the head's code at the width boundary ----------------------------------
+# --- the head's code, after the names of the tails -------------------------
 
 def _chain(head, signed):
     """``head |>^e1 l1 |>^e2 l2 ...`` for ``signed`` = [(l1, e1), ...]; its
@@ -216,21 +216,18 @@ def _chain(head, signed):
     return t
 
 
-@pytest.mark.parametrize("tail_names, width", [(128, array), (127, bytearray)])
-def test_the_head_takes_a_code_at_the_width_boundary(tail_names, width):
+@pytest.mark.parametrize("tail_names", [128, 127])
+def test_the_head_takes_a_code_at_the_width_boundary(tail_names):
     # The tails meet their names first, so the head is the last name to get
-    # a code: the 129th when the tails use 128.  A byte holds codes 0 to 127,
-    # and 128 in a byte is the inverse of the first name met, a^-1, which s
-    # uses.  Read as a^-1, the head would make the quandle keys of s and of
-    # t, whose tail is a^-1 * tail(s), agree.
+    # a code: the 129th when the tails use 128.  Read as the inverse of the
+    # first name met, a^-1, which s uses, the head would make the quandle
+    # keys of s and of t, whose tail is a^-1 * tail(s), agree.
     a, *rest = [gen(i) for i in range(1, tail_names + 1)]
     head = gen(tail_names + 1)
     tail = [(a, -1)] + [(name, 1) for name in rest]
     s, t = _chain(head, tail), _chain(head, [(a, -1)] + tail)
     idempotent = _chain(head, [(head, 1)] + tail)  # equal to s in the free quandle only
     for theory in (QUANDLE, RACK):
-        keys = translate.compact_keys((s,), theory)
-        assert type(keys[0][1]) is width
         for u in (s, t, idempotent):
             assert translate.normal_form(u, theory) == _reference_key(u, theory)
         for u in (t, idempotent):
@@ -293,7 +290,7 @@ def test_threads_answer_as_a_serial_run():
 def test_threads_parse_as_a_serial_run():
     # four threads fill the parser's atom caches at once, for terms and for
     # the text pass; keyed together, the parsed terms meet more than 128
-    # names, so their walk restarts at the 4-byte width
+    # names
     rng = random.Random(2027)
     texts = [render(random_term(rng, ALPHABETS[200], 31)) for _ in range(40)] + [
         "y1 |>", "(y1 |> y2", "y1 |> |> y2", "y1 ) y2", "y1 |> y²", "x |> q", "y0 |> x", "y201 |> y1",
@@ -329,7 +326,7 @@ def test_threads_parse_as_a_serial_run():
     assert rendered[:40] == texts[:40]
     kinds = ["TermSyntaxError"] * 6 + ["UnknownGeneratorError"] * 2 + ["TermSyntaxError"]
     assert [answer[0] for answer in rendered[40:]] == kinds
-    assert all(type(tail) is not bytearray for theory_keys in keys for _, tail in theory_keys)
+    assert all(type(tail) is array and tail.typecode == "i" for theory_keys in keys for _, tail in theory_keys)
     assert all(result == serial for result in threaded)
 
 
@@ -356,10 +353,9 @@ def term_fragments():
     return TERM_FRAGMENTS
 
 
-def _past_one_byte():
+def _past_128_names():
     """Two chains that meet a 129th name in their tails, as texts over 130
-    generators.  Codes 0 to 127 fill a byte; code 128 would be the byte of
-    y1^-1, the letter that ends t where s has y129."""
+    generators: t ends in y1^-1 where s has y129."""
     tail = [(gen(i), 1) for i in range(1, 129)]
     return render(_chain(gen(130), tail + [(gen(129), 1)])), render(_chain(gen(130), tail + [(gen(1), -1)]))
 
@@ -374,7 +370,7 @@ def _text_pairs(draw, fragments):
     rng = random.Random(draw(st.integers(0, 2**32)))
     kind = draw(st.sampled_from(("names", "fragments", "right-nested", "129 names")))
     if kind == "129 names":
-        return (*_past_one_byte(), 130)
+        return (*_past_128_names(), 130)
     if kind == "fragments":
         glued = st.lists(st.sampled_from(fragments), max_size=8).map("".join)
         return draw(glued), draw(glued), draw(st.integers(0, 3))
@@ -416,13 +412,12 @@ def test_text_equal_answers_as_the_recursive_reference(term_fragments, data):
     assert decide.text_equal(s, t, n, theory) == expected
 
 
-def test_the_text_pass_restarts_at_four_byte_codes(monkeypatch):
-    # a 129th name restarts the text pass at 4-byte codes; nothing is parsed
+def test_the_text_pass_takes_a_129th_name_without_parsing(monkeypatch):
     def parsed(*args):
         raise AssertionError("the texts were parsed")
 
     monkeypatch.setattr(decide, "parse", parsed)
-    s, t = _past_one_byte()
+    s, t = _past_128_names()
     for theory in (QUANDLE, RACK):
         assert not decide.text_equal(s, t, 130, theory)
         assert decide.text_equal(s, s, 130, theory)
@@ -699,6 +694,11 @@ RUNS = st.lists(st.tuples(st.sampled_from((gen(1), gen(2))), st.sampled_from((1,
 
 @settings(max_examples=60, deadline=None)
 @given(left=RUNS, right=RUNS, letter=st.sampled_from((gen(1), gen(2))), i=st.integers(1, 9), j=st.integers(1, 9))
+# w^-5 * w^8 for w = y1^-1 y2^-1 y1^-1, where the common prefix of the two
+# unfolds a repeated symbol on the right-hand side
+@example(left=[(gen(1), 1, 1), (gen(2), 1, 1)] + [(gen(1), 1, 2), (gen(2), 1, 1)] * 4,
+         right=[(gen(2), -1, 1), (gen(1), -1, 2)] * 7 + [(gen(2), -1, 1), (gen(1), -1, 1)],
+         letter=gen(1), i=1, j=1)
 def test_compressed_products_cancel_runs(left, right, letter, i, j):
     # u * v with u ending in letter^i and v starting in letter^-j
     u = words.mul(*(words.run(name, e * k) for name, e, k in left), words.run(letter, i))
@@ -775,8 +775,8 @@ def test_the_three_quandle_keys_are_one_quotient(data):
         equal = image == translate.quandle_image(u)
         compact = translate.compact_keys(pair, QUANDLE)
         assert (compact[0] == compact[1]) == equal
-        codes, mask, _ = translate._compact_images(pair, capped=True)  # the codebook compact_keys used
-        assert words.decode(compact[0][1], codes, mask) == image
+        codes, _ = translate._compact_images(pair, capped=True)  # the codebook compact_keys used
+        assert words.decode(compact[0][1], codes) == image
         compressed_s, compressed_u = compressed.compressed_keys(pair, QUANDLE)
         assert (compressed_s == compressed_u) == equal
         model_s, model_u = compressed.model_keys(pair, QUANDLE)

@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,44 +93,39 @@ def test_group_laws_exhaustive():
         assert words.mul(u, words.inv(u)) == ()
 
 
-def _compact(word, codes, width):
-    """``word`` as a compact word, numbering new names from the top of the
-    width's range, so that at the 4-byte width codes use every byte."""
-    new, mask, room = width
-    out = new()
+def _compact(word, codes):
+    """``word`` as a compact word, numbering new names down from the top of
+    the code range, so that the codes use every byte."""
+    out = array("i")
     for name, e in word:
         if name not in codes:
-            codes[name] = room - 1 - len(codes)
-        out.append(codes[name] if e == 1 else codes[name] ^ mask)
+            codes[name] = 2**31 - 1 - len(codes)
+        out.append(codes[name] if e == 1 else ~codes[name])
     return out
 
 
-@pytest.mark.parametrize("width", words.WIDTHS, ids=("1-byte", "4-byte"))
 @given(
     _signed(letters=("x", "y1", "y2"), max_size=24).map(words.reduce),
     _signed(letters=("x", "y1", "y2"), max_size=24).map(words.reduce),
     st.tuples(st.sampled_from(("x", "y1", "y2")), st.sampled_from((1, -1))),
 )
-def test_conjugate_onto_matches_mul(width, tail, w, signed):
+def test_conjugate_onto_matches_mul(tail, w, signed):
     codes = {}
-    compact_tail, compact_w = _compact(tail, codes, width), _compact(w, codes, width)
-    (c,) = _compact((signed,), codes, width)
-    mask = width[1]
-    words.conjugate_onto(compact_tail, compact_w, c, mask)
-    assert words.decode(compact_tail, codes, mask) == words.mul(tail, words.inv(w), (signed,), w)
-    assert words.decode(compact_w, codes, mask) == w
+    compact_tail, compact_w = _compact(tail, codes), _compact(w, codes)
+    (c,) = _compact((signed,), codes)
+    words.conjugate_onto(compact_tail, compact_w, c)
+    assert words.decode(compact_tail, codes) == words.mul(tail, words.inv(w), (signed,), w)
+    assert words.decode(compact_w, codes) == w
 
 
 def test_letter_codes_are_indices_and_invert_by_the_mask():
-    for new, mask, room in words.WIDTHS:
-        for index in (0, 1, 127, room - 1):
-            tail, w, c = new(), new(), 0 if index else 1
-            w.append(index)
-            words.conjugate_onto(tail, w, c, mask)  # w^-1 is inverted in bulk
-            assert list(tail) == [index ^ mask, c, index]
-            assert index ^ mask != index == index ^ mask ^ mask
-    assert [memoryview(new()).itemsize for new, _, _ in words.WIDTHS] == [1, 4]
-    assert [room for _, _, room in words.WIDTHS] == [2**7, 2**31]
+    # the mask is all 32 bits: the inverse of code i is ~i
+    for index in (0, 1, 127, 128, 2**31 - 1):
+        tail, w, c = array("i"), array("i", [index]), 0 if index else 1
+        words.conjugate_onto(tail, w, c)  # w^-1 is inverted in bulk
+        assert list(tail) == [~index, c, index]
+        assert ~index != index == ~~index
+    assert array("i").itemsize == 4
 
 
 @given(_signed())
