@@ -35,7 +35,7 @@ from typing import ClassVar, Iterable
 
 from . import decide, translate, words
 from .decide import QUANDLE, RACK
-from .terms import X, Atom, Node, Term, atoms_of, gen, gen_index, is_gen, subst, subst_many
+from .terms import X, Atom, Node, Term, atoms_of, gen, gen_index, is_gen, left_of, subst, subst_many
 from .translate import THEORIES, check_theory
 from .words import EMPTY, GroupWord
 
@@ -111,11 +111,13 @@ def canon(t: Term, theory: str) -> Elem | None:
     split as ``x^z * w`` with ``w`` generator-only (``z`` maximal).  The
     element is ``(z, w)``; the quandle element keeps only ``w``, since the
     quandle image ``w^-1 x w`` is the rack one modulo powers of the head.
+    The head is the term's leftmost atom, so a term whose leftmost atom is
+    not ``x`` is answered before it is translated.
     """
     check_theory(theory)
-    head, tail = translate.rack_image(t)
-    if head != X:
+    if left_of(t) != X:
         return None
+    _, tail = translate.rack_image(t)
     z, rest = words.split_leading_run(tail, X)
     if not all(is_gen(l) for l, _ in rest):
         return None

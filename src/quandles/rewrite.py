@@ -43,12 +43,15 @@ class RewriteStep:
     path: tuple[int, ...]  # 0 = left child, 1 = right child
 
 
-def _local_rewrites(u: Term, idempotent: bool) -> list[tuple[str, str, Term]]:
+def _local_rewrites(u: Term, idempotent: bool, budget: int | None = None) -> list[tuple[str, str, Term]]:
+    """The rewrites of ``u`` itself.  Only ``dist`` left to right (by
+    size(c)+1) and ``idem`` right to left (by size(u)+1) make a term larger;
+    given a ``budget``, those are left out when they would grow it by more."""
     out: list[tuple[str, str, Term]] = []
     if isinstance(u, Node):
         s = u.sign
         dist = DIST_POS if s == 1 else DIST_NEG
-        if isinstance(u.left, Node) and u.left.sign == s:
+        if isinstance(u.left, Node) and u.left.sign == s and (budget is None or size(u.right) < budget):
             a, b, c = u.left.left, u.left.right, u.right
             out.append((dist, "lr", Node(s, Node(s, a, c), Node(s, b, c))))
         if (
@@ -65,25 +68,28 @@ def _local_rewrites(u: Term, idempotent: bool) -> list[tuple[str, str, Term]]:
             out.append((cancel, "lr", u.left.left))
         if idempotent and u.left == u.right:
             out.append((IDEM_POS if s == 1 else IDEM_NEG, "lr", u.left))
-    if idempotent:
+    if idempotent and (budget is None or size(u) < budget):
         out.append((IDEM_POS, "rl", Node(1, u, u)))
         out.append((IDEM_NEG, "rl", Node(-1, u, u)))
     return out
 
 
-def rewrite_steps(t: Term, theory: str) -> list[tuple[RewriteStep, Term]]:
-    """All single axiom applications in ``t`` with the resulting terms.
+def rewrite_steps(t: Term, theory: str, budget: int | None = None) -> list[tuple[RewriteStep, Term]]:
+    """All single axiom applications in ``t`` with the resulting terms; given
+    a ``budget``, only those that make ``t`` at most that much larger.
 
     Subterms are visited in pre-order (a node, then its left subtree, then
     its right one) from an explicit stack that holds each subterm with its
-    path and the nodes above it; a rewrite rebuilds only those nodes.
+    path and the nodes above it; a rewrite rebuilds only those nodes.  A
+    rewrite grows the whole term by what it grows its subterm, so one
+    outside the budget is dropped before anything is built for it.
     """
     idempotent = IDEM_POS in axioms(theory)
     out: list[tuple[RewriteStep, Term]] = []
     todo: list[tuple[tuple[int, ...], Term, tuple[Node, ...]]] = [((), t, ())]
     while todo:
         path, u, above = todo.pop()
-        for axiom, direction, new in _local_rewrites(u, idempotent):
+        for axiom, direction, new in _local_rewrites(u, idempotent, budget):
             for node, side in zip(reversed(above), reversed(path)):
                 new = Node(node.sign, new, node.right) if side == 0 else Node(node.sign, node.left, new)
             out.append((RewriteStep(axiom, direction, path), new))
@@ -105,8 +111,11 @@ def rewrite_closure(
 
     Terms larger than ``max_size`` (default 2*size(t)+4) are pruned; the
     start term is always included.  Each level takes its neighbours straight
-    from ``rewrite_steps``, so only ``seen`` hashes them; the set found does
-    not depend on the order they come in.
+    from ``rewrite_steps``, with the room ``max_size - size(u)`` that each
+    term ``u`` leaves as the budget, so a neighbour that would be pruned is
+    never built, and only ``seen`` hashes the others; the set found does
+    not depend on the order they come in.  A start term larger than
+    ``max_size`` leaves no room, so its neighbours are sized one by one.
     """
     check_theory(theory)
     if max_steps < 0:
@@ -118,8 +127,9 @@ def rewrite_closure(
     for _ in range(max_steps):
         next_frontier: list[Term] = []
         for u in frontier:
-            for _, v in rewrite_steps(u, theory):
-                if v not in seen and size(v) <= max_size:
+            room = max_size - size(u)
+            for _, v in rewrite_steps(u, theory, room):
+                if v not in seen and (room >= 0 or size(v) <= max_size):
                     seen.add(v)
                     next_frontier.append(v)
         if not next_frontier:

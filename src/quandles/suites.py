@@ -8,11 +8,12 @@ counts, so a passing run documents how much ground it covered.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import decide, isotropy, rewrite, strides, translate, words
 from .decide import QUANDLE, RACK
@@ -24,6 +25,7 @@ from .terms import (
     Atom,
     Node,
     Term,
+    count_terms,
     enumerate_terms,
     gen,
     is_gen,
@@ -85,12 +87,12 @@ class SuiteReport:
 def member_by_definition(t: Term, theory: str) -> bool:
     """Membership decided from invertibility plus generic commutation only.
 
-    Never consults the canonical-shape test: the head and tail are read from
-    ``translate.normal_form``, not from the rack image that
-    ``isotropy.canon`` splits.  A term whose head is not ``x`` keeps its
-    leftmost atom under every substitution, so it cannot be invertible, and
-    the generic-commutation test is left out for it; every test here is free
-    of side effects, so their order does not change the answer.  Otherwise an
+    Never consults the canonical-shape test: the head is the term's leftmost
+    atom, and the tail is read from ``translate.normal_form``, not from the
+    rack image that ``isotropy.canon`` splits.  A term whose leftmost atom is
+    not ``x`` keeps it under every substitution, so it cannot be invertible,
+    and the other tests are left out for it; every test here is free of
+    side effects, so their order does not change the answer.  Otherwise an
     inverse's translation is forced by the single substitution equation: for
     a tail ``x^z * w``, the candidate is ``x``, then |z| self-applications of
     the opposite sign, then one operation per letter of ``w^-1``, and both
@@ -99,9 +101,9 @@ def member_by_definition(t: Term, theory: str) -> bool:
     on words answers for a ``w`` that holds ``x``: its candidate is built
     the same way, ``x`` letters included, and the decider judges it.
     """
-    head, tail = translate.normal_form(t, theory)
-    if head != X or not isotropy.commutes_generically(t, theory):
+    if left_of(t) != X or not isotropy.commutes_generically(t, theory):
         return False
+    _, tail = translate.normal_form(t, theory)
     z, rest = words.split_leading_run(tail, X)
     candidate: Term = Atom(X)
     for _ in range(abs(z)):
@@ -253,27 +255,53 @@ def _theorem_outcome(theory: str, t: Term) -> str:
     return MEMBER if _two_sided_inverse(t, t_inv, theory) else BAD_INVERSE
 
 
+class _Universe:
+    """The terms over ``alphabet`` of size <= ``max_size``, as a collection
+    that ``strides.strided_map`` can split: its length is counted by
+    formula, and each pass enumerates the terms afresh, so no process holds
+    them all."""
+
+    __slots__ = ("alphabet", "max_size")
+
+    def __init__(self, alphabet: tuple[str, ...], max_size: int) -> None:
+        self.alphabet = alphabet
+        self.max_size = max_size
+
+    def __len__(self) -> int:
+        return count_terms(self.alphabet, self.max_size)
+
+    def __iter__(self) -> Iterator[Term]:
+        return enumerate_terms(self.alphabet, self.max_size)
+
+
+def _first_rendered(universe: _Universe, outcomes: list[str], outcome: str) -> list[str]:
+    """The first five terms whose outcome is ``outcome``, rendered, from a
+    second pass over ``universe``."""
+    return list(itertools.islice((render(t) for t, o in zip(universe, outcomes) if o == outcome), 5))
+
+
 def suite_theorem(theory: str, max_size: int, n: int, workers: int = 1) -> SuiteReport:
     """Canonical-shape membership coincides with the definitional test, and
     canonical inverses really are two-sided inverses (``theorem2`` for
     quandles, ``theorem5`` for racks).  The terms are split over ``workers``
     processes by ``strides.strided_map``; the report does not depend on it."""
     report = SuiteReport("theorem2" if theory == QUANDLE else "theorem5")
-    universe = list(enumerate_terms(standard_alphabet(n, include_x=True), max_size))
+    universe = _Universe(standard_alphabet(n, include_x=True), max_size)
     outcomes = strides.strided_map(partial(_theorem_outcome, theory), universe, workers)
-    mismatches = [render(t) for t, o in zip(universe, outcomes) if o == MISMATCH]
-    bad_inverses = [render(t) for t, o in zip(universe, outcomes) if o == BAD_INVERSE]
-    members = outcomes.count(MEMBER) + len(bad_inverses)
+    mismatches = outcomes.count(MISMATCH)
+    bad_inverses = outcomes.count(BAD_INVERSE)
+    members = outcomes.count(MEMBER) + bad_inverses
     report.add(
         "membership equivalence",
         not mismatches,
-        f"{len(universe)} terms, {members} members, {len(mismatches)} discrepancies"
-        + (f": {mismatches[:5]}" if mismatches else ""),
+        f"{len(outcomes)} terms, {members} members, {mismatches} discrepancies"
+        + (f": {_first_rendered(universe, outcomes, MISMATCH)}" if mismatches else ""),
     )
     report.add(
         "canonical inverses are two-sided",
         not bad_inverses,
-        f"{members} members checked" + (f", failures: {bad_inverses[:5]}" if bad_inverses else ""),
+        f"{members} members checked"
+        + (f", failures: {_first_rendered(universe, outcomes, BAD_INVERSE)}" if bad_inverses else ""),
     )
     return report
 

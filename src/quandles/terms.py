@@ -486,29 +486,52 @@ def parse(text: str, n: int, allow_aux: bool = True) -> Term:
 # Enumeration and random generation
 # ---------------------------------------------------------------------------
 
+def _letters(alphabet: Iterable[str], max_size: int) -> list[str]:
+    """The distinct letters of ``alphabet`` in ``letter_key`` order, once the
+    bounds are checked to give at least one term."""
+    letters = sorted(set(alphabet), key=letter_key)
+    if not letters:
+        raise ValueError("alphabet must be nonempty")
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    return letters
+
+
 def enumerate_terms(alphabet: Iterable[str], max_size: int) -> Iterator[Term]:
     """Yield every term with atoms from ``alphabet`` and size <= max_size.
 
     Deterministic order: ascending size; within a size, by left-subterm size,
     then recursively by this same order on left and right, with ``|>`` before
     ``|>~``.  Only odd sizes occur (a node adds 1 to two odd-sized children).
+
+    Each size below the largest is kept as a table, shared by the terms built
+    from it.  Nothing is built on the largest size, which holds most of the
+    terms, so it is yielded as it is built and never stored.
     """
-    letters = sorted(set(alphabet), key=letter_key)
-    if not letters:
-        raise ValueError("alphabet must be nonempty")
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    by_size: dict[int, list[Term]] = {1: [Atom(l) for l in letters]}
+    by_size: dict[int, list[Term]] = {1: [Atom(l) for l in _letters(alphabet, max_size)]}
     yield from by_size[1]
     for k in range(3, max_size + 1, 2):
-        by_size[k] = [
+        level = (
             Node(sign, left, right)
             for i in range(1, k - 1, 2)
             for left in by_size[i]
             for right in by_size[k - 1 - i]
             for sign in (1, -1)
-        ]
-        yield from by_size[k]
+        )
+        if k + 2 > max_size:
+            yield from level
+        else:
+            by_size[k] = list(level)
+            yield from by_size[k]
+
+
+def count_terms(alphabet: Iterable[str], max_size: int) -> int:
+    """How many terms ``enumerate_terms(alphabet, max_size)`` yields, counted
+    by the recurrence on sizes, without building any."""
+    by_size = {1: len(_letters(alphabet, max_size))}
+    for k in range(3, max_size + 1, 2):
+        by_size[k] = sum(2 * by_size[i] * by_size[k - 1 - i] for i in range(1, k - 1, 2))
+    return sum(by_size.values())
 
 
 def random_term(rng: random.Random, alphabet: tuple[str, ...], max_size: int) -> Term:

@@ -72,10 +72,11 @@ def test_closure_monotone_in_steps():
             prev = cur
 
 
-def closure_levels_reference(t, theory, max_steps):
+def closure_levels_reference(t, theory, max_steps, max_size=None):
     """Reference: the closures of ``t`` within 0..max_steps rewrites, searched
-    one level at a time over ``rewrite_neighbors``, pruned at 2*size(t)+4."""
-    bound = 2 * size(t) + 4
+    one level at a time over ``rewrite_neighbors``, pruned at ``max_size``
+    (default 2*size(t)+4)."""
+    bound = 2 * size(t) + 4 if max_size is None else max_size
     seen, frontier = {t}, {t}
     levels = [set(seen)]
     for _ in range(max_steps):
@@ -90,6 +91,16 @@ def test_closure_matches_a_level_by_level_search_over_neighbors():
         for t in enumerate_terms((gen(1), gen(2)), 5):
             for steps, want in enumerate(closure_levels_reference(t, theory, 3)):
                 assert rewrite.rewrite_closure(t, theory, steps) == want, (theory, t, steps)
+
+
+@pytest.mark.parametrize("slack", [-2, 0, 2])
+def test_closure_at_a_tight_size_bound_matches_the_reference(slack):
+    # the budget each term leaves is exact: one size more or less shows here
+    for theory in (QUANDLE, RACK):
+        for t in enumerate_terms((gen(1), gen(2)), 5):
+            max_size = size(t) + slack
+            for steps, want in enumerate(closure_levels_reference(t, theory, 3, max_size)):
+                assert rewrite.rewrite_closure(t, theory, steps, max_size) == want, (theory, t, steps)
 
 
 def test_closure_rejects_a_negative_step_count():

@@ -5,7 +5,8 @@ import subprocess
 import sys
 
 import quandles
-from quandles import strides
+from quandles import strides, suites
+from quandles.terms import enumerate_terms, render
 
 
 def test_strided_map_answers_as_a_serial_map():
@@ -45,3 +46,18 @@ def test_importing_the_package_loads_no_process_machinery():
     code = "import sys, quandles; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+def test_a_universe_that_enumerates_afresh_maps_as_a_serial_list():
+    universe = suites._Universe(("x", "y1"), 7)
+    serial = [render(t) for t in enumerate_terms(("x", "y1"), 7)]
+    assert len(universe) == len(serial) == 714
+    for workers in (1, 2, 3):
+        assert strides.strided_map(render, universe, workers) == serial
+
+
+def test_strides_longer_than_a_chunk_merge_in_index_order(monkeypatch):
+    monkeypatch.setattr(strides, "_CHUNK", 3)
+    items = list(range(41))
+    for workers in (2, 3, 5):
+        assert strides.strided_map(lambda i: -i, items, workers) == [-i for i in items]

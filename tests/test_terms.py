@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -584,6 +585,32 @@ def enumerate_reference(alphabet, max_size):
 def test_enumeration_order_matches_reference(letters):
     for max_size in range(1, 10):
         assert list(terms.enumerate_terms(letters, max_size)) == list(enumerate_reference(letters, max_size))
+
+
+@pytest.mark.parametrize("letters", [("y1",), ("x", "y1"), ("x", "y1", "y2")])
+def test_count_terms_counts_the_enumeration(letters):
+    for max_size in range(1, 10):
+        assert terms.count_terms(letters, max_size) == len(list(terms.enumerate_terms(letters, max_size)))
+
+
+def test_count_terms_rejects_the_bounds_that_enumerate_terms_rejects():
+    with pytest.raises(ValueError, match="alphabet must be nonempty"):
+        terms.count_terms((), 3)
+    with pytest.raises(ValueError, match="max_size must be >= 1"):
+        terms.count_terms(("x",), 0)
+
+
+@pytest.mark.parametrize("max_size", [9, 10])
+def test_enumeration_does_not_hold_the_largest_size(max_size):
+    # 54,432 of the 57,909 terms have size 9; held as a list they cost MBs
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in terms.enumerate_terms(("x", "y1", "y2"), max_size))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 57909
+    assert peak < 1_000_000
 
 
 def test_enumerate_count_frozen_values():
