@@ -360,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
         except io.UnsupportedOperation:  # a stdout with no file descriptor
             pass
         return 141
+    except KeyboardInterrupt:  # 128 + SIGINT, quietly, as for a closed pipe
+        return 130
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Iterable
 
 from . import decide, strides, translate
 from .decide import QUANDLE, RACK
@@ -152,14 +153,19 @@ class CrossValidationReport:
 
 
 def _closure_facts(
-    theory: str, index: dict[Term, int], max_steps: int, t: Term
-) -> tuple[int, list[str], set[int]]:
-    """What ``cross_validate`` keeps of the closure of ``t``: its size, the
-    rendered members the decider tells apart from ``t``, sorted, and the
-    indices of its members that lie in the universe ``index`` numbers."""
-    closure = rewrite_closure(t, theory, max_steps)
-    disagreeing = sorted(render(u) for u in closure if not decide.term_equal(t, u, theory))
-    return len(closure), disagreeing, {i for u in closure if (i := index.get(u)) is not None}
+    theory: str, index: dict[Term, int], max_steps: int, stride: Iterable[tuple[int, Term]]
+) -> list[tuple[int, tuple[int, list[str], set[int]]]]:
+    """What ``cross_validate`` keeps of the closure of each ``t`` in
+    ``stride``, by its index: the closure's size, the rendered members the
+    decider tells apart from ``t``, sorted, and the indices of its members
+    that lie in the universe ``index`` numbers."""
+    facts = []
+    for i, t in stride:
+        closure = rewrite_closure(t, theory, max_steps)
+        disagreeing = sorted(render(u) for u in closure if not decide.term_equal(t, u, theory))
+        members = {j for u in closure if (j := index.get(u)) is not None}
+        facts.append((i, (len(closure), disagreeing, members)))
+    return facts
 
 
 def cross_validate(
@@ -170,13 +176,14 @@ def cross_validate(
     Every term rewrite-connected to ``t`` must be decided equal to it (the
     soundness half).  Additionally counts how many decider-equal pairs within
     the enumeration the bounded search managed to connect.  The closures are
-    split over ``workers`` processes by ``strides.strided_map``; the report
+    split over ``workers`` processes by ``strides.strided_fold``; the report
     does not depend on it.
     """
     report = CrossValidationReport()
     universe = list(enumerate_terms(alphabet, max_size))
     index = {t: i for i, t in enumerate(universe)}
-    facts = strides.strided_map(partial(_closure_facts, theory, index, max_steps), universe, workers)
+    folded = strides.strided_fold(partial(_closure_facts, theory, index, max_steps), universe, workers)
+    facts = [f for _, f in sorted(pair for stride in folded for pair in stride)]  # indices are distinct
     report.terms_checked = len(universe)
     for t, (closure_size, disagreeing, _) in zip(universe, facts):
         report.pairs_checked += closure_size

@@ -8,12 +8,12 @@ counts, so a passing run documents how much ground it covered.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import decide, isotropy, rewrite, strides, translate, words
 from .decide import QUANDLE, RACK
@@ -257,7 +257,7 @@ def _theorem_outcome(theory: str, t: Term) -> str:
 
 class _Universe:
     """The terms over ``alphabet`` of size <= ``max_size``, as a collection
-    that ``strides.strided_map`` can split: its length is counted by
+    that ``strides.strided_fold`` can split: its length is counted by
     formula, and each pass enumerates the terms afresh, so no process holds
     them all."""
 
@@ -274,34 +274,43 @@ class _Universe:
         return enumerate_terms(self.alphabet, self.max_size)
 
 
-def _first_rendered(universe: _Universe, outcomes: list[str], outcome: str) -> list[str]:
-    """The first five terms whose outcome is ``outcome``, rendered, from a
-    second pass over ``universe``."""
-    return list(itertools.islice((render(t) for t, o in zip(universe, outcomes) if o == outcome), 5))
+def _theorem_tally(theory: str, stride: Iterable[tuple[int, Term]]) -> tuple[Counter, list[tuple[int, str, str]]]:
+    """How many terms of ``stride`` have each ``_theorem_outcome``, and the
+    first five of each failing outcome, as ``(index, outcome, rendered)``."""
+    tally = Counter()
+    failures = []
+    for i, t in stride:
+        outcome = _theorem_outcome(theory, t)
+        tally[outcome] += 1
+        if outcome in (MISMATCH, BAD_INVERSE) and tally[outcome] <= 5:
+            failures.append((i, outcome, render(t)))
+    return tally, failures
 
 
 def suite_theorem(theory: str, max_size: int, n: int, workers: int = 1) -> SuiteReport:
     """Canonical-shape membership coincides with the definitional test, and
     canonical inverses really are two-sided inverses (``theorem2`` for
     quandles, ``theorem5`` for racks).  The terms are split over ``workers``
-    processes by ``strides.strided_map``; the report does not depend on it."""
+    processes by ``strides.strided_fold``; the report does not depend on it."""
     report = SuiteReport("theorem2" if theory == QUANDLE else "theorem5")
     universe = _Universe(standard_alphabet(n, include_x=True), max_size)
-    outcomes = strides.strided_map(partial(_theorem_outcome, theory), universe, workers)
-    mismatches = outcomes.count(MISMATCH)
-    bad_inverses = outcomes.count(BAD_INVERSE)
-    members = outcomes.count(MEMBER) + bad_inverses
+    tallies = strides.strided_fold(partial(_theorem_tally, theory), universe, workers)
+    tally = sum((stride_tally for stride_tally, _ in tallies), Counter())
+    failures = sorted(f for _, stride_failures in tallies for f in stride_failures)
+    first = {kind: [text for _, o, text in failures if o == kind][:5] for kind in (MISMATCH, BAD_INVERSE)}
+    mismatches = tally[MISMATCH]
+    bad_inverses = tally[BAD_INVERSE]
+    members = tally[MEMBER] + bad_inverses
     report.add(
         "membership equivalence",
         not mismatches,
-        f"{len(outcomes)} terms, {members} members, {mismatches} discrepancies"
-        + (f": {_first_rendered(universe, outcomes, MISMATCH)}" if mismatches else ""),
+        f"{sum(tally.values())} terms, {members} members, {mismatches} discrepancies"
+        + (f": {first[MISMATCH]}" if mismatches else ""),
     )
     report.add(
         "canonical inverses are two-sided",
         not bad_inverses,
-        f"{members} members checked"
-        + (f", failures: {_first_rendered(universe, outcomes, BAD_INVERSE)}" if bad_inverses else ""),
+        f"{members} members checked" + (f", failures: {first[BAD_INVERSE]}" if bad_inverses else ""),
     )
     return report
 

@@ -647,6 +647,24 @@ def test_a_closed_output_pipe_exits_141_quietly_in_a_process(argv, stdin, unbuff
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+@pytest.mark.parametrize("argv, out", [
+    pytest.param(["eq", "y1 |> y1", "y1"], "", id="eq"),
+    pytest.param(["--json", "eq", "--stdin"], '{"results": [true], "all_equal": false}\n', id="eq-stdin-json"),
+])
+def test_an_interrupt_exits_130_quietly(capsys, monkeypatch, argv, out):
+    # 130 is what a shell reports for a process killed by SIGINT
+    decided = decide.text_equal
+
+    def interrupted_on_line_2(s, t, *args, **kwargs):
+        if s == "y1 |> y1":
+            raise KeyboardInterrupt
+        return decided(s, t, *args, **kwargs)
+
+    monkeypatch.setattr(decide, "text_equal", interrupted_on_line_2)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("y1\ty1\ny1 |> y1\ty1\ny1\ty1\n"))
+    assert run(capsys, "--gens", "1", *argv) == (130, out, "")
+
+
 LONG_WORD = [["y1", 1], ["y2", -1]] * 1500
 
 

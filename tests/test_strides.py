@@ -1,4 +1,4 @@
-"""The stride-split map that ``verify`` spreads its sweeps with."""
+"""The stride-split fold that ``verify`` spreads its sweeps with."""
 
 import os
 import subprocess
@@ -9,11 +9,12 @@ from quandles import strides, suites
 from quandles.terms import enumerate_terms, render
 
 
-def test_strided_map_answers_as_a_serial_map():
-    items = list(range(23))
+def test_strided_fold_folds_each_stride_in_index_order():
+    items = [chr(ord("a") + i) for i in range(23)]
+    pairs = list(enumerate(items))
     for workers in (1, 2, 3, 5):
-        assert strides.strided_map(lambda i: i * i, items, workers) == [i * i for i in items]
-    assert strides.strided_map(lambda i: i, [], 4) == []
+        assert strides.strided_fold(list, items, workers) == [pairs[w::workers] for w in range(workers)]
+    assert strides.strided_fold(list, [], 4) == [[]]
 
 
 def test_workers_are_forked_and_capped_at_the_item_count(monkeypatch):
@@ -26,10 +27,15 @@ def test_workers_are_forked_and_capped_at_the_item_count(monkeypatch):
         pools.append(workers)
         return real(workers, *args, **kwargs)
 
+    def pid_and_stride(stride):
+        return os.getpid(), list(stride)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-    assert os.getpid() not in strides.strided_map(lambda _: os.getpid(), ["a", "b"], 8)
+    (pid_a, a), (pid_b, b) = strides.strided_fold(pid_and_stride, ["a", "b"], 8)
+    assert os.getpid() not in (pid_a, pid_b)
+    assert (a, b) == ([(0, "a")], [(1, "b")])
     assert pools == [2]
-    assert strides.strided_map(lambda _: os.getpid(), ["a"], 8) == [os.getpid()]
+    assert strides.strided_fold(pid_and_stride, ["a"], 8) == [(os.getpid(), [(0, "a")])]
     assert pools == [2]
 
 
@@ -37,7 +43,8 @@ def test_without_fork_the_map_runs_here(monkeypatch):
     import multiprocessing
 
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert strides.strided_map(lambda _: os.getpid(), ["a", "b", "c"], 3) == [os.getpid()] * 3
+    stride = [(0, "a"), (1, "b"), (2, "c")]
+    assert strides.strided_fold(lambda s: (os.getpid(), list(s)), ["a", "b", "c"], 3) == [(os.getpid(), stride)]
 
 
 def test_importing_the_package_loads_no_process_machinery():
@@ -53,11 +60,5 @@ def test_a_universe_that_enumerates_afresh_maps_as_a_serial_list():
     serial = [render(t) for t in enumerate_terms(("x", "y1"), 7)]
     assert len(universe) == len(serial) == 714
     for workers in (1, 2, 3):
-        assert strides.strided_map(render, universe, workers) == serial
-
-
-def test_strides_longer_than_a_chunk_merge_in_index_order(monkeypatch):
-    monkeypatch.setattr(strides, "_CHUNK", 3)
-    items = list(range(41))
-    for workers in (2, 3, 5):
-        assert strides.strided_map(lambda i: -i, items, workers) == [-i for i in items]
+        folded = strides.strided_fold(lambda stride: [(i, render(t)) for i, t in stride], universe, workers)
+        assert folded == [list(enumerate(serial))[w::workers] for w in range(workers)]

@@ -3,6 +3,7 @@ canonical forms against, and the suites that split their terms over
 worker processes."""
 
 import multiprocessing
+import tracemalloc
 
 import pytest
 
@@ -90,21 +91,60 @@ def test_split_reports_match_a_serial_run(name, bounds):
 
 def test_split_reports_list_discrepancies_in_enumeration_order(monkeypatch):
     universe = list(enumerate_terms(standard_alphabet(2), 5))
-    picked = (3, 4, 9, 10, 17, 30, 41, 42)
-    wrong = {universe[i] for i in picked}
-    real = isotropy.canon
+    real_canon, real_invert = isotropy.canon, isotropy.invert
+    canonized = []
 
-    def flipped(t, theory):
-        elem = real(t, theory)
-        if t not in wrong:
+    def patched_canon(t, theory):
+        canonized[:] = [t]
+        elem = real_canon(t, theory)
+        if t not in flip:
             return elem
         return None if elem is not None else isotropy.element(theory, 0, EMPTY)
 
-    monkeypatch.setattr(isotropy, "canon", flipped)
-    serial = suites.run_suite("theorem2", max_size=5, n=2)
-    first = [render(universe[i]) for i in picked[:5]]
-    assert serial.checks[0].detail.endswith(f" members, 8 discrepancies: {first}")
-    assert without_elapsed(suites.run_suite("theorem2", max_size=5, n=2, workers=2)) == without_elapsed(serial)
+    def patched_invert(a):
+        # the identity is no inverse of the picked members, whose elements are not the identity
+        return isotropy.element(QUANDLE, 0, EMPTY) if canonized[0] in bad_inverse else real_invert(a)
+
+    monkeypatch.setattr(isotropy, "canon", patched_canon)
+    monkeypatch.setattr(isotropy, "invert", patched_invert)
+    # indices that are multiples of 6 fall in stride 0 for 2 and 3 workers,
+    # so each set but the first gives that stride more than five failures
+    cases = [
+        ((3, 4, 9, 10, 17, 30, 41, 42), ()),
+        ((0, 1, 6, 12, 13, 18, 24, 30, 36), ()),
+        ((), (6, 7, 37, 42, 54, 132, 138, 150, 156)),
+        ((4, 5), (6, 42, 54, 132, 138, 150, 156, 162)),
+    ]
+    for flipped, inverted in cases:
+        flip = {universe[i] for i in flipped}  # read by the patches when they are called
+        bad_inverse = {universe[i] for i in inverted}
+        serial = suites.run_suite("theorem2", max_size=5, n=2)
+        membership, inverses = serial.checks
+        first_flipped = [render(universe[i]) for i in flipped[:5]]
+        assert membership.ok is (not flipped)
+        assert membership.detail.endswith(f" {len(flipped)} discrepancies" + (f": {first_flipped}" if flipped else ""))
+        first_inverted = [render(universe[i]) for i in inverted[:5]]
+        assert inverses.ok is (not inverted)
+        assert inverses.detail.endswith(" members checked" + (f", failures: {first_inverted}" if inverted else ""))
+        for workers in (2, 3):
+            assert without_elapsed(suites.run_suite("theorem2", max_size=5, n=2, workers=workers)) == without_elapsed(
+                serial
+            ), (flipped, inverted, workers)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="sweeps split only by forking")
+def test_a_split_sweep_keeps_nothing_per_term_in_the_parent():
+    def parent_peak(max_size):
+        tracemalloc.start()
+        try:
+            suites.run_suite("theorem2", max_size=max_size, n=1, workers=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parent_peak(5)  # the first split sweep loads the process machinery
+    # the universe grows from 74 terms to 7,882
+    assert parent_peak(9) - parent_peak(5) < 32 * 1024
 
 
 def test_a_crashing_worker_is_an_internal_error_and_leaves_no_process(monkeypatch, capsys):
