@@ -9,6 +9,10 @@ codebook and never decoded.  A normal form can be exponentially longer than
 its term, so the compact keys give up once a tail outgrows a cap on its
 length per node; past it, ``compressed.equal`` decides without expanding.
 The decider is total over any alphabet, including the auxiliary constants.
+``equal_to(t, terms, theory)`` decides ``t`` against many terms at once, with
+the keys of all of them built in one pass over one codebook, so that ``t`` is
+translated once; where that pass meets the cap, it asks ``term_equal`` pair
+by pair.
 
 ``text_equal`` decides a pair of term texts.  It builds the compact keys
 while parsing (``translate.text_keys``).  Where that pass meets a malformed
@@ -18,10 +22,12 @@ past the cap, it parses them and goes straight to ``compressed.equal``.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .terms import Term, UnknownGeneratorError, _Malformed, parse
 from .translate import QUANDLE, RACK, THEORIES, TailTooLong, compact_keys, text_keys
 
-__all__ = ["QUANDLE", "RACK", "THEORIES", "term_equal", "text_equal"]
+__all__ = ["QUANDLE", "RACK", "THEORIES", "equal_to", "term_equal", "text_equal"]
 
 
 def term_equal(s: Term, t: Term, theory: str) -> bool:
@@ -31,6 +37,20 @@ def term_equal(s: Term, t: Term, theory: str) -> bool:
     except TailTooLong:
         return _past_the_cap(s, t, theory)
     return key_s == key_t
+
+
+def equal_to(t: Term, terms: Iterable[Term], theory: str) -> list[bool]:
+    """``[term_equal(t, u, theory) for u in terms]``, from the keys of ``t``
+    and of all of ``terms`` built in one ``compact_keys`` pass over one
+    codebook.  The cap of that pass counts the nodes of every term in it;
+    where a tail outgrows it, each pair is decided by ``term_equal``, so the
+    answers are those of ``term_equal`` in every case."""
+    terms = list(terms)
+    try:
+        key, *keys = compact_keys((t, *terms), theory)
+    except TailTooLong:
+        return [term_equal(t, u, theory) for u in terms]
+    return [k == key for k in keys]
 
 
 def text_equal(s: str, t: str, n: int, theory: str, allow_aux: bool = True) -> bool:

@@ -114,8 +114,9 @@ def rewrite_closure(
     start term is always included.  Each level takes its neighbours straight
     from ``rewrite_steps``, with the room ``max_size - size(u)`` that each
     term ``u`` leaves as the budget, so a neighbour that would be pruned is
-    never built, and only ``seen`` hashes the others; the set found does
-    not depend on the order they come in.  A start term larger than
+    never built, and only ``seen`` hashes the others, each once: a
+    neighbour is new when adding it grows ``seen``.  The set found does not
+    depend on the order they come in.  A start term larger than
     ``max_size`` leaves no room, so its neighbours are sized one by one.
     """
     check_theory(theory)
@@ -130,9 +131,11 @@ def rewrite_closure(
         for u in frontier:
             room = max_size - size(u)
             for _, v in rewrite_steps(u, theory, room):
-                if v not in seen and (room >= 0 or size(v) <= max_size):
+                if room >= 0 or size(v) <= max_size:
+                    known = len(seen)
                     seen.add(v)
-                    next_frontier.append(v)
+                    if len(seen) > known:
+                        next_frontier.append(v)
         if not next_frontier:
             break
         frontier = next_frontier
@@ -153,17 +156,20 @@ class CrossValidationReport:
 
 
 def _closure_facts(
-    theory: str, index: dict[Term, int], max_steps: int, stride: Iterable[tuple[int, Term]]
+    theory: str, universe: list[Term], max_steps: int, stride: Iterable[tuple[int, Term]]
 ) -> list[tuple[int, tuple[int, list[str], set[int]]]]:
     """What ``cross_validate`` keeps of the closure of each ``t`` in
     ``stride``, by its index: the closure's size, the rendered members the
-    decider tells apart from ``t``, sorted, and the indices of its members
-    that lie in the universe ``index`` numbers."""
+    decider tells apart from ``t``, sorted, and the indices of the terms of
+    ``universe`` that lie in the closure.  Each closure is decided against
+    ``t`` in one ``decide.equal_to`` call, which translates ``t`` once, and
+    its universe members are found by looking each universe term up in it."""
     facts = []
     for i, t in stride:
         closure = rewrite_closure(t, theory, max_steps)
-        disagreeing = sorted(render(u) for u in closure if not decide.term_equal(t, u, theory))
-        members = {j for u in closure if (j := index.get(u)) is not None}
+        verdicts = decide.equal_to(t, closure, theory)  # in the set's iteration order
+        disagreeing = sorted(render(u) for u, equal in zip(closure, verdicts) if not equal)
+        members = {j for j, u in enumerate(universe) if u in closure}
         facts.append((i, (len(closure), disagreeing, members)))
     return facts
 
@@ -181,8 +187,7 @@ def cross_validate(
     """
     report = CrossValidationReport()
     universe = list(enumerate_terms(alphabet, max_size))
-    index = {t: i for i, t in enumerate(universe)}
-    folded = strides.strided_fold(partial(_closure_facts, theory, index, max_steps), universe, workers)
+    folded = strides.strided_fold(partial(_closure_facts, theory, universe, max_steps), universe, workers)
     facts = [f for _, f in sorted(pair for stride in folded for pair in stride)]  # indices are distinct
     report.terms_checked = len(universe)
     for t, (closure_size, disagreeing, _) in zip(universe, facts):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import decide, isotropy, rewrite, strides, translate, words
+from . import decide, isotropy, translate, words
 from .decide import QUANDLE, RACK
 from .isotropy import RackElem
 from .terms import (
@@ -223,6 +223,8 @@ def suite_axioms(seed: int, samples: int, max_size: int, n: int) -> SuiteReport:
 
 def suite_oracle(max_size: int, max_steps: int, n: int, workers: int = 1) -> SuiteReport:
     """Bounded rewriting never connects terms the deciders distinguish."""
+    from . import rewrite  # here, so that the other suites start without compiling it
+
     report = SuiteReport("oracle")
     alphabet = standard_alphabet(n, include_x=False)
     for theory in (QUANDLE, RACK):
@@ -292,6 +294,8 @@ def suite_theorem(theory: str, max_size: int, n: int, workers: int = 1) -> Suite
     canonical inverses really are two-sided inverses (``theorem2`` for
     quandles, ``theorem5`` for racks).  The terms are split over ``workers``
     processes by ``strides.strided_fold``; the report does not depend on it."""
+    from . import strides  # here, as for rewrite in suite_oracle
+
     report = SuiteReport("theorem2" if theory == QUANDLE else "theorem5")
     universe = _Universe(standard_alphabet(n, include_x=True), max_size)
     tallies = strides.strided_fold(partial(_theorem_tally, theory), universe, workers)

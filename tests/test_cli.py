@@ -3,8 +3,10 @@ import json
 import os
 import resource
 import select
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -663,6 +665,45 @@ def test_an_interrupt_exits_130_quietly(capsys, monkeypatch, argv, out):
     monkeypatch.setattr(decide, "text_equal", interrupted_on_line_2)
     monkeypatch.setattr(sys, "stdin", io.StringIO("y1\ty1\ny1 |> y1\ty1\ny1\ty1\n"))
     assert run(capsys, "--gens", "1", *argv) == (130, out, "")
+
+
+# a verify run whose two workers each print their pid and then sleep
+SLOW_SWEEP = """
+import os, signal, sys, time
+from quandles import cli, suites
+signal.signal(signal.SIGINT, signal.default_int_handler)  # also where started with SIGINT ignored
+cli.usable_cpus = lambda: 2
+
+def slow(theory, stride):
+    os.write(1, b"%d\\n" % os.getpid())  # one write, which the other worker's cannot split
+    time.sleep(60)
+
+suites._theorem_tally = slow
+sys.exit(cli.main(["verify", "theorem2", "--max-size", "5"]))
+"""
+
+
+def test_an_interrupt_to_verify_alone_exits_130_at_once_and_kills_its_workers():
+    # only the parent gets SIGINT, as from kill -INT; it must not wait for
+    # the workers' folds to finish
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    with subprocess.Popen([sys.executable, "-c", SLOW_SWEEP], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
+        try:
+            workers = [int(proc.stdout.readline()) for _ in range(2)]
+            start = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            code = proc.wait(timeout=30)
+            waited = time.monotonic() - start
+        finally:
+            proc.kill()
+        out, err = proc.communicate()
+    assert (code, out, err) == (130, "", "")
+    assert waited < 5, waited  # a worker would hold it for 60 s
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 LONG_WORD = [["y1", 1], ["y2", -1]] * 1500

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_rewrite import _positions_reference, _replace_at_reference
 from test_translate import recursive_rack_image
 
 from quandles import compressed, decide, rewrite, terms, translate, words
@@ -254,6 +255,43 @@ def test_deep_right_nested_terms(theory, k):
     t = right_nested(k)
     assert decide.term_equal(t, Node(-1, Node(1, t, Atom(gen(1))), Atom(gen(1))), theory)
     assert not decide.term_equal(t, right_nested(k, inner_sign=-1), theory)
+
+
+# --- one term against many, in one pass -------------------------------------
+
+def _near_miss(t, data):
+    """``t`` with one node's sign flipped or one atom's letter changed."""
+    path, u = data.draw(st.sampled_from(list(_positions_reference(t))))
+    if isinstance(u, Node):
+        return _replace_at_reference(t, path, Node(-u.sign, u.left, u.right))
+    others = [letter for letter in ALPHABETS[4] if letter != u.letter]
+    return _replace_at_reference(t, path, Atom(data.draw(st.sampled_from(others))))
+
+
+@pytest.mark.parametrize("theory", [QUANDLE, RACK])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equal_to_answers_as_term_equal_pair_by_pair(theory, data):
+    letters = ALPHABETS[4]
+    t = data.draw(_balanced_terms(letters, max_leaves=8))
+    terms = [t, t]  # t itself, and the same object again
+    for _ in range(data.draw(st.integers(0, 4))):  # partners a few axiom steps away
+        u = t
+        for _ in range(data.draw(st.integers(1, 3))):
+            steps = rewrite.rewrite_steps(u, theory)
+            if steps:
+                u = steps[data.draw(st.integers(0, len(steps) - 1))][1]
+        terms += [u, _near_miss(u, data)]
+    terms += data.draw(st.lists(_balanced_terms(letters, max_leaves=8), max_size=3))
+    past_the_cap = data.draw(st.booleans())
+    if past_the_cap:
+        terms.append(right_nested(24))
+    terms = data.draw(st.permutations(terms))
+    # with the right-nested term, the one pass gives up and each pair is decided alone
+    assert _gives_up(translate.compact_keys, (t, *terms), theory) == past_the_cap
+    assert decide.equal_to(t, terms, theory) == [decide.term_equal(t, u, theory) for u in terms]
+    assert decide.equal_to(t, iter(terms), theory) == decide.equal_to(t, terms, theory)
+    assert decide.equal_to(t, [], theory) == []
 
 
 def test_threads_answer_as_a_serial_run():
