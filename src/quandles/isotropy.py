@@ -117,7 +117,16 @@ def canon(t: Term, theory: str) -> Elem | None:
     check_theory(theory)
     if left_of(t) != X:
         return None
-    _, tail = translate.rack_image(t)
+    return canon_of_image(X, translate.rack_image(t).tail, theory)
+
+
+def canon_of_image(head: str, tail: GroupWord, theory: str) -> Elem | None:
+    """``canon`` of a term whose rack image is ``(head, tail)``: the element
+    ``(z, w)`` when the head is ``x`` and the tail splits as ``x^z * w``
+    with ``w`` generator-only, else None.  The theorem sweeps call it with
+    the images they compose over the enumeration tables."""
+    if head != X:
+        return None
     z, rest = words.split_leading_run(tail, X)
     if not all(is_gen(l) for l, _ in rest):
         return None

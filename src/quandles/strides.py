@@ -11,7 +11,8 @@ afresh on each pass is never held whole by any process, and the caller holds
 only the summaries.  Each worker writes its one pickled summary, or the
 exception its fold raised, to a pipe of its own and leaves through
 ``os._exit``; no pool, and neither ``multiprocessing`` nor
-``concurrent.futures``, is loaded.
+``concurrent.futures``, is loaded.  A worker whose caller was killed
+outright notices within a few thousand items and leaves without writing.
 
 Only callers that ask for more than one worker get processes.  Forking is
 unsafe in a process that runs threads, so the library never forks by
@@ -77,7 +78,7 @@ def strided_fold(fn: Callable[[Iterator[tuple[int, T]]], R], items: Collection[T
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, items, w, k, write)  # does not return
+                    _work(fn, items, w, k, write, parent)  # does not return
             finally:
                 os.close(write)  # so that the pipe ends when the worker does
             pids.append(pid)
@@ -108,17 +109,18 @@ def strided_fold(fn: Callable[[Iterator[tuple[int, T]]], R], items: Collection[T
     return results
 
 
-def _work(fn: Callable, items: Collection, w: int, k: int, write: int) -> None:
+def _work(fn: Callable, items: Collection, w: int, k: int, write: int, parent: int) -> None:
     """In a forked worker: fold stride ``w`` of ``k``, write the pickled
     ``(True, summary)``, or ``(False, exception)``, to ``write`` and leave
     through ``os._exit``, so that no handler or buffer of the caller's runs
-    twice."""
+    twice.  A worker whose caller, ``parent``, is gone leaves the same way
+    without writing: its stride checks every ``ORPHAN_CHECK`` items."""
     code = 1
     try:
         import pickle
 
         try:
-            data = pickle.dumps((True, fn(itertools.islice(enumerate(items), w, None, k))))
+            data = pickle.dumps((True, fn(_stride(items, w, k, parent))))
         except BaseException as exc:
             try:
                 data = pickle.dumps((False, exc))
@@ -131,3 +133,17 @@ def _work(fn: Callable, items: Collection, w: int, k: int, write: int) -> None:
     finally:
         os._exit(code)
 
+
+ORPHAN_CHECK = 4096
+
+
+def _stride(items: Collection[T], w: int, k: int, parent: int) -> Iterator[tuple[int, T]]:
+    """Stride ``w`` of ``k`` of ``enumerate(items)``, leaving the process
+    through ``os._exit`` at the first of every ``ORPHAN_CHECK`` items once
+    its parent is no longer ``parent``: a caller killed outright (SIGKILL,
+    the OOM killer) cannot reap its workers, and nothing else would tell
+    them."""
+    for n, item in enumerate(itertools.islice(enumerate(items), w, None, k)):
+        if not n % ORPHAN_CHECK and os.getppid() != parent:
+            os._exit(1)
+        yield item

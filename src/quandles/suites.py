@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -27,6 +28,7 @@ from .terms import (
     Term,
     count_terms,
     enumerate_terms,
+    evaluate,
     gen,
     is_gen,
     left_of,
@@ -35,8 +37,8 @@ from .terms import (
     standard_alphabet,
     subst,
 )
-from .translate import check_theory
-from .words import EMPTY, GroupWord
+from .translate import TailTooLong, check_theory
+from .words import EMPTY, CompactWord, GroupWord
 
 
 @dataclass
@@ -104,13 +106,19 @@ def member_by_definition(t: Term, theory: str) -> bool:
     if left_of(t) != X or not isotropy.commutes_generically(t, theory):
         return False
     _, tail = translate.normal_form(t, theory)
-    z, rest = words.split_leading_run(tail, X)
+    return _two_sided_inverse(t, _forced_inverse(*words.split_leading_run(tail, X)), theory)
+
+
+def _forced_inverse(z: int, rest: GroupWord) -> Term:
+    """The only possible inverse of a term whose normal-form tail is
+    ``x^z * rest``: ``x``, then |z| self-applications of the opposite sign,
+    then one operation per letter of ``rest^-1``."""
     candidate: Term = Atom(X)
     for _ in range(abs(z)):
         candidate = Node(-1 if z > 0 else 1, candidate, Atom(X))
     for l, e in words.inv(rest):
         candidate = Node(e, candidate, Atom(l))
-    return _two_sided_inverse(t, candidate, theory)
+    return candidate
 
 
 def _two_sided_inverse(t: Term, u: Term, theory: str) -> bool:
@@ -240,52 +248,169 @@ def suite_oracle(max_size: int, max_steps: int, n: int, workers: int = 1) -> Sui
 
 MEMBER, NON_MEMBER, MISMATCH, BAD_INVERSE = "member", "non-member", "mismatch", "bad inverse"
 
-
-def _theorem_outcome(theory: str, t: Term) -> str:
-    """How ``t`` fares in ``theorem2``/``theorem5``: ``MISMATCH`` when the
-    canonical shape and the definitional test disagree on its membership,
-    else ``NON_MEMBER``, ``MEMBER``, or ``BAD_INVERSE`` for a member whose
-    canonical inverse is not a two-sided inverse."""
-    # through the twin names, which `bench/tracing.py` wraps by name
-    oracle = quandle_member_by_definition if theory == QUANDLE else rack_member_by_definition
-    elem = isotropy.canon(t, theory)
-    if (elem is not None) != oracle(t):
-        return MISMATCH
-    if elem is None:
-        return NON_MEMBER
-    t_inv = isotropy.elem_to_term(isotropy.invert(elem))
-    return MEMBER if _two_sided_inverse(t, t_inv, theory) else BAD_INVERSE
+# the values of x that the theorem sweeps fold each term under: x itself,
+# the two auxiliary constants, and the two products that generic
+# commutation substitutes for it
+VALUES = (Atom(X), Atom(X0), Atom(X1), Node(1, Atom(X0), Atom(X1)), Node(-1, Atom(X0), Atom(X1)))
 
 
 class _Universe:
     """The terms over ``alphabet`` of size <= ``max_size``, as a collection
     that ``strides.strided_fold`` can split: its length is counted by
     formula, and each pass enumerates the terms afresh, so no process holds
-    them all."""
+    them all.  With ``builders``, it yields the entries that
+    ``enumerate_terms`` builds with them instead of the terms."""
 
-    __slots__ = ("alphabet", "max_size")
+    __slots__ = ("alphabet", "max_size", "builders")
 
-    def __init__(self, alphabet: tuple[str, ...], max_size: int) -> None:
+    def __init__(self, alphabet: tuple[str, ...], max_size: int, builders: Callable | None = None) -> None:
         self.alphabet = alphabet
         self.max_size = max_size
+        self.builders = builders
 
     def __len__(self) -> int:
         return count_terms(self.alphabet, self.max_size)
 
-    def __iter__(self) -> Iterator[Term]:
-        return enumerate_terms(self.alphabet, self.max_size)
+    def __iter__(self) -> Iterator:
+        return enumerate_terms(self.alphabet, self.max_size, self.builders)
 
 
-def _theorem_tally(theory: str, stride: Iterable[tuple[int, Term]]) -> tuple[Counter, list[tuple[int, str, str]]]:
-    """How many terms of ``stride`` have each ``_theorem_outcome``, and the
-    first five of each failing outcome, as ``(index, outcome, rendered)``."""
+class _Sweep:
+    """What ``theorem2``/``theorem5`` decide each term of the universe by:
+    its rack images under the five ``VALUES`` of ``x``, composed over the
+    enumeration tables rather than translated from ``t[s/x]``.
+
+    The translation is a fold, so the image of a node is one node step
+    (``translate._node_step``) on its children's images, and the image of
+    ``t[s/x]`` is the fold of ``t`` with ``x``'s image replaced by that of
+    ``s``.  ``builders`` makes the entries of ``enumerate_terms``: up to
+    size ``max_size - 4`` an entry is ``(term, images)``, one image per
+    value, or one shared by all five when the term has no ``x``.  Larger
+    entries are ``(term, left, right)``, with the children's entries, and
+    get their images when asked (``images``), one step per value; so do the
+    terms of the largest size, which are not kept.  Each step copies the
+    left tail first, since the tables share it.  All images are compact
+    words over one codebook, which numbers every letter of the alphabet and
+    both auxiliary constants before the sweep starts; a forked worker has
+    its own copy.
+    """
+
+    def __init__(self, theory: str, alphabet: tuple[str, ...], max_size: int) -> None:
+        self.theory = theory
+        self.max_size = max_size
+        self.codes = codes = {name: i for i, name in enumerate(dict.fromkeys((X, X0, X1, *alphabet)))}
+        self.letters = {c: (name, e) for name, code in codes.items() for c, e in ((code, 1), (~code, -1))}
+        self.step = translate._node_step(codes)
+        self.empty = empty = array("i")  # shared, so never written to
+        self.x_images = tuple(evaluate(value, lambda l: (l, empty), self.step) for value in VALUES)
+        self.last = (None, None)  # the last entry that ``_kept`` composed, and its images
+
+    def builders(self, k: int) -> Callable:
+        """``enumerate_terms``' entry builder for size ``k``."""
+        if k == 1:
+            return lambda letter: (Atom(letter), self.x_images if letter == X else ((letter, self.empty),) * 5)
+        if k + 4 <= self.max_size:
+            join = self._join
+            return lambda sign, left, right: (Node(sign, left[0], right[0]), join(sign, left[1], right[1]))
+        return lambda sign, left, right: (Node(sign, left[0], right[0]), left, right)
+
+    def _join(self, sign: int, left: tuple, right: tuple) -> tuple:
+        """The images of ``left |>^sign right`` from those of its children,
+        one per value, or one shared when neither child has ``x``."""
+        step = self.step
+        if left[0] is left[1] and right[0] is right[1]:
+            head, tail = left[0]
+            return (step(sign, (head, tail[:]), right[0]),) * 5
+        return tuple([step(sign, (head, tail[:]), r) for (head, tail), r in zip(left, right)])
+
+    def images(self, entry: tuple) -> tuple:
+        """The images of an entry's term under the five values."""
+        if len(entry) == 2:
+            return entry[1]
+        t, left, right = entry
+        return self._join(t.sign, self._kept(left), self._kept(right))
+
+    def _kept(self, entry: tuple) -> tuple:
+        """A child's images: kept in its entry, or composed for the last
+        child asked for.  The terms of the largest size come in runs that
+        share a child of size ``max_size - 2``, so that is composed once a
+        run."""
+        if len(entry) == 2:
+            return entry[1]
+        if entry is not self.last[0]:
+            self.last = entry, self.images(entry)
+        return self.last[1]
+
+    def _fold(self, t: Term, image: tuple[str, CompactWord]) -> tuple[str, CompactWord]:
+        """The fold of ``t`` with ``x``'s image replaced by ``image``, by a
+        step capped as ``compact_keys``' is."""
+        head, tail = image
+        empty = self.empty
+        return evaluate(t, lambda l: (head, tail[:]) if l == X else (l, empty),
+                        translate._node_step(self.codes, translate.LETTERS_PER_NODE))
+
+    def _agree(self, a: tuple[str, CompactWord], b: tuple[str, CompactWord]) -> bool:
+        """Whether the decider's keys of two images agree."""
+        key_a, key_b = translate._keys(self.codes, [a, b], self.theory)
+        return key_a == key_b
+
+    def _is_x(self, t: Term, s: Term, image: tuple[str, CompactWord] | None = None) -> bool:
+        """Whether ``t[s/x] = x``, given the image of ``s`` if it is at hand:
+        by the folds, or by ``decide.term_equal`` on the substituted term
+        where a fold meets the cap."""
+        try:
+            return self._agree(self._fold(t, image or self._fold(s, self.x_images[0])), self.x_images[0])
+        except TailTooLong:
+            return decide.term_equal(subst(t, s, X), Atom(X), self.theory)
+
+    def outcome(self, entry: tuple) -> str:
+        """How the entry's term ``t`` fares: ``MISMATCH`` when the canonical
+        shape (``isotropy.canon_of_image``) and the definitional test
+        disagree on its membership, else ``NON_MEMBER``, ``MEMBER``, or
+        ``BAD_INVERSE`` for a member whose canonical inverse is not a
+        two-sided inverse.
+
+        The definitional test is that of ``member_by_definition``, on the
+        images: generic commutation is two node steps and two comparisons of
+        the decider's keys, and the equations ``t[u/x] = x`` and
+        ``u[t/x] = x`` for the forced inverse ``u`` are folds of ``t`` and
+        ``u``.  The canonical inverse reuses that verdict only when it is
+        ``u`` under ``==``."""
+        t = entry[0]
+        if left_of(t) != X:
+            return NON_MEMBER
+        image, x0, x1, product, quotient = self.images(entry)
+        step = self.step
+        member = (self._agree(product, step(1, (x0[0], x0[1][:]), x1))
+                  and self._agree(quotient, step(-1, (x0[0], x0[1][:]), x1)))
+        tail = tuple([self.letters[c] for c in image[1]])
+        if member:
+            z, rest = words.split_leading_run(tail, X)
+            u = _forced_inverse(z if self.theory == RACK else 0, rest)
+            member = self._is_x(t, u) and self._is_x(u, t, image)
+        elem = isotropy.canon_of_image(X, tail, self.theory)
+        if (elem is not None) != member:
+            return MISMATCH
+        if elem is None:
+            return NON_MEMBER
+        t_inv = isotropy.elem_to_term(isotropy.invert(elem))
+        if t_inv == u or (self._is_x(t, t_inv) and self._is_x(t_inv, t, image)):
+            return MEMBER
+        return BAD_INVERSE
+
+
+def _theorem_tally(sweep: _Sweep, stride: Iterable[tuple[int, tuple]]) -> tuple[Counter, list[tuple[int, str, str]]]:
+    """How many terms of ``stride``, a stride of ``sweep``'s entries, have
+    each ``sweep.outcome``, and the first five of each failing outcome, as
+    ``(index, outcome, rendered)``."""
     tally = Counter()
     failures = []
-    for i, t in stride:
-        outcome = _theorem_outcome(theory, t)
-        tally[outcome] += 1
-        if outcome in (MISMATCH, BAD_INVERSE) and tally[outcome] <= 5:
-            failures.append((i, outcome, render(t)))
+    outcome = sweep.outcome
+    for i, entry in stride:
+        kind = outcome(entry)
+        tally[kind] += 1
+        if kind in (MISMATCH, BAD_INVERSE) and tally[kind] <= 5:
+            failures.append((i, kind, render(entry[0])))
     return tally, failures
 
 
@@ -293,12 +418,21 @@ def suite_theorem(theory: str, max_size: int, n: int, workers: int = 1) -> Suite
     """Canonical-shape membership coincides with the definitional test, and
     canonical inverses really are two-sided inverses (``theorem2`` for
     quandles, ``theorem5`` for racks).  The terms are split over ``workers``
-    processes by ``strides.strided_fold``; the report does not depend on it."""
+    processes by ``strides.strided_fold``; the report does not depend on it.
+
+    Each term is decided from its rack images under the five ``VALUES`` of
+    ``x``, composed over the enumeration tables (``_Sweep``), so no term is
+    substituted or translated afresh; a term whose leftmost atom is not
+    ``x`` is a non-member at once.  The outcome of each term is the one that
+    ``isotropy.canon``, ``member_by_definition`` and ``_two_sided_inverse``
+    give it, which stay as the term-level reference."""
     from . import strides  # here, as for rewrite in suite_oracle
 
     report = SuiteReport("theorem2" if theory == QUANDLE else "theorem5")
-    universe = _Universe(standard_alphabet(n, include_x=True), max_size)
-    tallies = strides.strided_fold(partial(_theorem_tally, theory), universe, workers)
+    alphabet = standard_alphabet(n, include_x=True)
+    sweep = _Sweep(theory, alphabet, max_size)
+    tallies = strides.strided_fold(partial(_theorem_tally, sweep), _Universe(alphabet, max_size, sweep.builders),
+                                   workers)
     tally = sum((stride_tally for stride_tally, _ in tallies), Counter())
     failures = sorted(f for _, stride_failures in tallies for f in stride_failures)
     first = {kind: [text for _, o, text in failures if o == kind][:5] for kind in (MISMATCH, BAD_INVERSE)}

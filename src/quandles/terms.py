@@ -497,7 +497,8 @@ def _letters(alphabet: Iterable[str], max_size: int) -> list[str]:
     return letters
 
 
-def enumerate_terms(alphabet: Iterable[str], max_size: int) -> Iterator[Term]:
+def enumerate_terms(alphabet: Iterable[str], max_size: int,
+                    builders: Callable[[int], Callable] | None = None) -> Iterator:
     """Yield every term with atoms from ``alphabet`` and size <= max_size.
 
     Deterministic order: ascending size; within a size, by left-subterm size,
@@ -507,12 +508,22 @@ def enumerate_terms(alphabet: Iterable[str], max_size: int) -> Iterator[Term]:
     Each size below the largest is kept as a table, shared by the terms built
     from it.  Nothing is built on the largest size, which holds most of the
     terms, so it is yielded as it is built and never stored.
+
+    ``builders``, if given, maps a size k to the function that builds the
+    entries of that size, which are yielded and kept in the tables in place
+    of the terms: ``builders(1)(letter)`` for an atom, and
+    ``builders(k)(sign, left, right)`` from the entries of the two children.
+    So an entry can carry a value folded from its children's, read by
+    position in the tables, or keep its children to fold later.
     """
-    by_size: dict[int, list[Term]] = {1: [Atom(l) for l in _letters(alphabet, max_size)]}
+    build = builders or (lambda k: Node if k > 1 else Atom)
+    atom = build(1)
+    by_size: dict[int, list] = {1: [atom(l) for l in _letters(alphabet, max_size)]}
     yield from by_size[1]
     for k in range(3, max_size + 1, 2):
+        node = build(k)
         level = (
-            Node(sign, left, right)
+            node(sign, left, right)
             for i in range(1, k - 1, 2)
             for left in by_size[i]
             for right in by_size[k - 1 - i]

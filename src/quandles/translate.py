@@ -6,12 +6,13 @@ and a reduced word: atoms go to ``(atom, e)``; ``s |>^eps t`` goes to
 ``(head(S), tail(S) * tail(T)^-1 * head(T)^eps * tail(T))``.  The head is
 always the leftmost atom of the term.  Two terms are equal in the free rack
 exactly when both components agree.  The translation is computed without
-recursion, by one node step with two drivers.  ``_compact_forms`` owns the
-step, which builds tails in place as compact words (see ``words``), one
-4-byte code per signed letter over a codebook of the call's own.
-``terms.evaluate`` drives it over built terms (``_compact_images``), and the
-parser's loop ``terms._build`` over text (``text_keys``), so that no term is
-built.  The deciders compare the tails as they are, and ``rack_image`` and
+recursion, by one node step (``_node_step``) with two drivers.  The step
+builds tails in place as compact words (see ``words``), one 4-byte code per
+signed letter over a codebook of the call's own.  ``terms.evaluate`` drives
+it over built terms (``_compact_images``), and the parser's loop
+``terms._build`` over text (``text_keys``), so that no term is built; the
+theorem sweeps of ``suites`` also step over the enumeration tables.  The
+deciders compare the tails as they are, and ``rack_image`` and
 ``normal_form`` decode them into tuples of signed letters.
 
 The free-quandle normal form is a quotient of the rack one: a term stands
@@ -89,30 +90,21 @@ class TailTooLong(Exception):
 LETTERS_PER_NODE = 256
 
 
-def _compact_forms(items: Sequence[S], drive: Callable[[S, Callable, Callable], tuple[str, CompactWord]],
-                   atom: Callable[[str], tuple[str, CompactWord]],
-                   capped: bool) -> tuple[dict[str, int], list[tuple[str, CompactWord]]]:
-    """The rack normal forms of ``items`` as heads and compact tails, each
-    built as ``drive(item, atom, node)``: ``terms.evaluate`` over a built
-    term, or the parser's loop ``terms._build`` over a token list.  ``atom``
-    gives an atom's letter with the empty tail (``_atom_image``).  The node
-    step ``node`` is the one place where a factor joins a compact tail: for
-    ``s |>^e t`` it attaches the conjugate ``w^-1 h^e w`` of the image
-    ``(h, w)`` of ``t`` to the tail of ``s``, in place, cancelling at its
-    end: a single letter ``h^e`` when ``w`` is empty, else one
-    ``words.conjugate_onto``.
+def _node_step(codes: dict[str, int], per_node: int | None = None) -> Callable:
+    """The node step over the codebook ``codes``: the one place where a
+    factor joins a compact tail.  For ``s |>^e t`` it attaches the conjugate
+    ``w^-1 h^e w`` of the image ``(h, w)`` of ``t`` to the tail of ``s``, in
+    place, cancelling at its end: a single letter ``h^e`` when ``w`` is
+    empty, else one ``words.conjugate_onto``.  An empty tail of ``s`` is
+    never written to, since an atom's is shared; a caller that shares any
+    other tail copies it first.
 
-    All items share one codebook, which numbers letter names in the order
-    they are met; a name's code is its number.  Every head has a code, even
-    one that no tail uses, since a quandle key conjugates by it.  Returns the
-    codebook and one ``(head, tail)`` per item.  A ``capped`` call raises
-    ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE`` letters per
-    node attached so far.
+    A letter the codebook lacks gets the next number.  With ``per_node``,
+    the step raises ``TailTooLong`` once a tail outgrows ``per_node`` letters
+    per node it has attached so far.
     """
     conjugate_onto = words.conjugate_onto
-    per_node = LETTERS_PER_NODE if capped else None
     new = array("i").__copy__  # an empty compact word, in half the time of array("i")
-    codes: dict[str, int] = {}
     met = 0
 
     def node(sign: int, left: tuple[str, CompactWord], right: tuple[str, CompactWord]) -> tuple[str, CompactWord]:
@@ -136,6 +128,28 @@ def _compact_forms(items: Sequence[S], drive: Callable[[S, Callable, Callable], 
             tail.append(c)
         return head, tail
 
+    return node
+
+
+def _compact_forms(items: Sequence[S], drive: Callable[[S, Callable, Callable], tuple[str, CompactWord]],
+                   atom: Callable[[str], tuple[str, CompactWord]],
+                   capped: bool) -> tuple[dict[str, int], list[tuple[str, CompactWord]]]:
+    """The rack normal forms of ``items`` as heads and compact tails, each
+    built as ``drive(item, atom, node)``: ``terms.evaluate`` over a built
+    term, or the parser's loop ``terms._build`` over a token list.  ``atom``
+    gives an atom's letter with the empty tail (``_atom_image``), and
+    ``node`` is ``_node_step``.
+
+    All items share one codebook, which numbers letter names in the order
+    they are met; a name's code is its number.  Every head has a code, even
+    one that no tail uses, since a quandle key conjugates by it.  Returns the
+    codebook and one ``(head, tail)`` per item.  A ``capped`` call raises
+    ``TailTooLong`` once a tail outgrows ``LETTERS_PER_NODE`` letters per
+    node attached so far.
+    """
+    codes: dict[str, int] = {}
+    node = _node_step(codes, LETTERS_PER_NODE if capped else None)
+    new = array("i").__copy__
     images = []
     for item in items:
         head, tail = drive(item, atom, node)

@@ -167,3 +167,54 @@ def test_a_universe_that_enumerates_afresh_maps_as_a_serial_list():
     for workers in (1, 2, 3):
         folded = strides.strided_fold(lambda stride: [(i, render(t)) for i, t in stride], universe, workers)
         assert folded == [list(enumerate(serial))[w::workers] for w in range(workers)]
+
+
+# a verify run whose two workers each print their pid at their first item
+# and then fold slowly: a stride of theorem2 at size 9 has 28,954 terms, so
+# a worker that went on to the end would live for seconds
+ORPHANED_SWEEP = """
+import os, sys, time
+from quandles import cli, suites
+cli.usable_cpus = lambda: 2
+
+def slow(sweep, stride):
+    for n, _ in enumerate(stride):
+        if not n:
+            os.write(1, b"%d\\n" % os.getpid())
+        time.sleep(0.00005)
+
+suites._theorem_tally = slow
+sys.exit(cli.main(["verify", "theorem2", "--max-size", "9"]))
+"""
+
+
+def alive(pid):
+    """Whether ``pid`` runs; a zombie, which nothing reaps here, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def test_the_workers_of_a_killed_sweep_leave_within_a_second():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    with subprocess.Popen([sys.executable, "-c", ORPHANED_SWEEP], stdout=subprocess.PIPE, env=env) as proc:
+        try:
+            workers = [int(proc.stdout.readline()) for _ in range(2)]
+        finally:
+            proc.kill()  # SIGKILL: the caller gets no chance to kill its workers
+    deadline = time.monotonic() + 1
+    while any(map(alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    left = [pid for pid in workers if alive(pid)]
+    for pid in left:  # so that a failure leaves nothing behind
+        os.kill(pid, signal.SIGKILL)
+    assert not left

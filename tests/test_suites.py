@@ -4,13 +4,13 @@ worker processes."""
 
 import os
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from quandles import cli, decide, isotropy, suites, translate, words
 from quandles.decide import QUANDLE, RACK
-from quandles.terms import X, Atom, Node, enumerate_terms, gen, parse, render, standard_alphabet
-from quandles.words import EMPTY
+from quandles.terms import X, enumerate_terms, gen, parse, render, standard_alphabet, subst
 
 TWINS = {QUANDLE: suites.quandle_member_by_definition, RACK: suites.rack_member_by_definition}
 
@@ -82,7 +82,8 @@ def without_elapsed(report):
     return data
 
 
-@pytest.mark.parametrize("name, bounds", SPLIT)
+@pytest.mark.parametrize("name, bounds", SPLIT + [("theorem2", {"max_size": 7, "n": 2}),
+                                                  ("theorem5", {"max_size": 7, "n": 1})])
 def test_split_reports_match_a_serial_run(name, bounds):
     serial = without_elapsed(suites.run_suite(name, **bounds))
     for workers in (2, 3):
@@ -91,22 +92,18 @@ def test_split_reports_match_a_serial_run(name, bounds):
 
 def test_split_reports_list_discrepancies_in_enumeration_order(monkeypatch):
     universe = list(enumerate_terms(standard_alphabet(2), 5))
-    real_canon, real_invert = isotropy.canon, isotropy.invert
-    canonized = []
+    real_outcome = suites._Sweep.outcome
 
-    def patched_canon(t, theory):
-        canonized[:] = [t]
-        elem = real_canon(t, theory)
-        if t not in flip:
-            return elem
-        return None if elem is not None else isotropy.element(theory, 0, EMPTY)
+    def patched_outcome(sweep, entry):
+        kind = real_outcome(sweep, entry)
+        if entry[0] in flip:
+            return suites.MISMATCH
+        if entry[0] in bad_inverse:
+            assert kind == suites.MEMBER
+            return suites.BAD_INVERSE
+        return kind
 
-    def patched_invert(a):
-        # the identity is no inverse of the picked members, whose elements are not the identity
-        return isotropy.element(QUANDLE, 0, EMPTY) if canonized[0] in bad_inverse else real_invert(a)
-
-    monkeypatch.setattr(isotropy, "canon", patched_canon)
-    monkeypatch.setattr(isotropy, "invert", patched_invert)
+    monkeypatch.setattr(suites._Sweep, "outcome", patched_outcome)
     # indices that are multiples of 6 fall in stride 0 for 2 and 3 workers,
     # so each set but the first gives that stride more than five failures
     cases = [
@@ -132,6 +129,78 @@ def test_split_reports_list_discrepancies_in_enumeration_order(monkeypatch):
             ), (flipped, inverted, workers)
 
 
+# The theorem sweeps decide each term from images composed over the
+# enumeration tables; the term-level functions are their reference.
+SWEPT = [(QUANDLE, standard_alphabet(2)), (RACK, standard_alphabet(1))]
+
+
+def reference_outcome(theory, t):
+    """How ``t`` fares in ``theorem2``/``theorem5``, decided term by term:
+    ``canon``, ``member_by_definition`` and ``_two_sided_inverse``."""
+    elem = isotropy.canon(t, theory)
+    if (elem is not None) != suites.member_by_definition(t, theory):
+        return suites.MISMATCH
+    if elem is None:
+        return suites.NON_MEMBER
+    t_inv = isotropy.elem_to_term(isotropy.invert(elem))
+    return suites.MEMBER if suites._two_sided_inverse(t, t_inv, theory) else suites.BAD_INVERSE
+
+
+def swept(theory, alphabet, max_size=7):
+    sweep = suites._Sweep(theory, alphabet, max_size)
+    return sweep, enumerate_terms(alphabet, max_size, sweep.builders)
+
+
+@pytest.mark.parametrize("theory, alphabet", SWEPT, ids=[QUANDLE, RACK])
+def test_folded_images_are_the_images_of_the_substituted_terms(theory, alphabet):
+    sweep, entries = swept(theory, alphabet)
+    for entry in entries:
+        t = entry[0]
+        for value, (head, tail) in zip(suites.VALUES, sweep.images(entry)):
+            assert (head, words.decode(tail, sweep.codes)) == translate.rack_image(subst(t, value, X)), (render(t), value)
+
+
+def wrong_inverse(a):
+    return a  # its own inverse only for the identity
+
+
+def no_canonical_form(head, tail, theory):
+    return None
+
+
+@pytest.mark.parametrize("theory, alphabet", SWEPT, ids=[QUANDLE, RACK])
+@pytest.mark.parametrize("patch", [None, ("invert", wrong_inverse), ("canon_of_image", no_canonical_form)],
+                         ids=["as-is", "wrong-inverse", "no-canonical-form"])
+def test_the_sweep_decides_each_term_as_the_term_level_reference(monkeypatch, theory, alphabet, patch):
+    if patch:
+        monkeypatch.setattr(isotropy, *patch)
+    sweep, entries = swept(theory, alphabet)
+    outcomes = Counter()
+    for entry in entries:
+        kind = sweep.outcome(entry)
+        assert kind == reference_outcome(theory, entry[0]), render(entry[0])
+        outcomes[kind] += 1
+    assert outcomes[{None: suites.MEMBER, "invert": suites.BAD_INVERSE, "canon_of_image": suites.MISMATCH}[
+        patch and patch[0]]] > 100
+
+
+def test_the_sweep_falls_back_to_the_decider_past_the_cap(monkeypatch):
+    monkeypatch.setattr(translate, "LETTERS_PER_NODE", 0)  # a fold meets the cap at its first conjugate
+    alphabet = standard_alphabet(2)
+    want = [reference_outcome(QUANDLE, t) for t in enumerate_terms(alphabet, 5)]
+    decided = []
+    real = decide.term_equal
+
+    def counted(s, t, theory):
+        decided.append(s)
+        return real(s, t, theory)
+
+    monkeypatch.setattr(decide, "term_equal", counted)
+    sweep, entries = swept(QUANDLE, alphabet, 5)
+    assert [sweep.outcome(entry) for entry in entries] == want
+    assert decided
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="sweeps split only by forking")
 def test_a_split_sweep_keeps_nothing_per_term_in_the_parent():
     def parent_peak(max_size):
@@ -148,16 +217,15 @@ def test_a_split_sweep_keeps_nothing_per_term_in_the_parent():
 
 
 def test_a_crashing_worker_is_an_internal_error_and_leaves_no_process(monkeypatch, capsys):
-    # the first equation member_by_definition decides for x |> y1
-    poison = Node(1, Node(-1, Atom(X), Atom(gen(1))), Atom(gen(1)))
-    real = decide.term_equal
+    # the element of x |> y1, whose canonical inverse the sweep builds
+    real = isotropy.invert
 
-    def exploding(a, b, theory):
-        if a == poison:
+    def exploding(a):
+        if a.word == ((gen(1), 1),):
             raise RuntimeError("boom")
-        return real(a, b, theory)
+        return real(a)
 
-    monkeypatch.setattr(decide, "term_equal", exploding)
+    monkeypatch.setattr(isotropy, "invert", exploding)
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     assert cli.main(["verify", "theorem2", "--max-size", "3", "--n", "1"]) == 3
     captured = capsys.readouterr()
